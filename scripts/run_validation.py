@@ -4,7 +4,7 @@
 Usage:
     python3 scripts/run_validation.py [--fast] [--json]
 
-Exits 0 when every check passes, 1 otherwise.
+Exits 0 when every check passes, 4 otherwise, as `qutritxxz validate` does.
 """
 
 import argparse
@@ -14,6 +14,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from qutritxxz.cli import EXIT_VALIDATION
 from qutritxxz.validate import validate
 
 
@@ -34,7 +35,7 @@ def main(argv=None):
             print(f"{status}  {check['name']}: {check['detail']}")
         verdict = "ALL CHECKS PASSED" if report["passed"] else "CHECKS FAILED"
         print(f"{verdict} in {report['elapsed_seconds']:.2f}s")
-    return 0 if report["passed"] else 1
+    return 0 if report["passed"] else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -7,12 +7,13 @@ Exit codes: 0 success, 2 invalid arguments, 3 numerical failure,
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
 
 from . import __version__
-from .entanglement import InvalidState, negativity
+from .entanglement import InvalidState
 from .matkernel import NoConvergence, NotHermitian, hermitian_eig
 from .model import (
     HF_RANGE,
@@ -23,20 +24,19 @@ from .model import (
     effective_coupling,
     hamiltonian_tensor,
 )
-from .output import emit_csv, emit_svg
+from .output import _fmt, csv_text, emit_csv, emit_svg, write_text
 from .sweeps import (
-    CSV_COLUMNS,
     FIGURE_NAMES,
     ONSET_THRESHOLD,
     NoOnset,
     SweepError,
     SweepSpec,
+    _point,
     detect_critical_dz,
     detect_critical_field,
     figure_preset,
     run_sweep,
 )
-from .thermal import gibbs, ground_state_mixture, partition_function
 from .validate import validate
 
 EXIT_OK = 0
@@ -45,6 +45,16 @@ EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
 
 _PARAM_KEYS = ("R", "B", "Dz", "gamma", "T", "J")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Takes "--Dz -6.9e-05" as a flag and its value.  argparse's own
+    negative-number pattern has no exponent form, so it would read the
+    value as a second option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _add_common(parser):
@@ -62,7 +72,7 @@ def _add_common(parser):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qutritxxz",
         description="Thermal entanglement (negativity) of a two-qutrit XXZ pair "
                     "with z-axis DM interaction and Herring-Flicker coupling",
@@ -139,11 +149,11 @@ def _resolve(args):
 
 
 def _write(text, out):
+    text = text if text.endswith("\n") else text + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        write_text(out, text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _cmd_spectrum(args):
@@ -164,39 +174,21 @@ def _cmd_spectrum(args):
         _write(json.dumps(payload, indent=2), args.out)
     else:
         lines = ["label,eigenvalue"]
-        lines += [f"eps{i + 1},{e!r}" for i, e in enumerate(spec.eps)]
-        lines.append(f"max_gap_vs_numeric,{gap!r}")
+        lines += [f"eps{i + 1},{_fmt(e)}" for i, e in enumerate(spec.eps)]
+        lines.append(f"max_gap_vs_numeric,{_fmt(gap)}")
         _write("\n".join(lines), args.out)
     return EXIT_OK
-
-
-def _point_row(p, T):
-    r, theta, _ = effective_coupling(p)
-    if T == 0.0:
-        state = ground_state_mixture(p)
-        z = state.Z
-    else:
-        state = gibbs(p, T)
-        z = partition_function(p, T)
-    ground = float(hermitian_eig(hamiltonian_tensor(p)).eigenvalues[0])
-    n = negativity(state.rho).value
-    return {"grid_param": "T", "grid_value": T, "T": T, "B": p.B, "Dz": p.Dz,
-            "R": p.R, "gamma": p.gamma, "J": p.J, "r": r, "theta": theta,
-            "Z": z, "ground_energy": ground, "negativity": n}
 
 
 def _cmd_negativity(args):
     p, t = _resolve(args)
     if t < 0:
         raise DomainError(f"temperature must be >= 0, got {t}")
-    row = _point_row(p, t)
+    row = {"grid_param": "T", "grid_value": t, **_point(p, t)}
     if args.format == "json":
         _write(json.dumps(row, indent=2), args.out)
     else:
-        header = ",".join(CSV_COLUMNS)
-        values = ",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                          for c in CSV_COLUMNS)
-        _write(header + "\n" + values, args.out)
+        _write(csv_text([row]), args.out)
     return EXIT_OK
 
 
@@ -204,12 +196,7 @@ def _emit(results, args):
     if args.out:
         emit_csv(results, args.out)
     else:
-        lines = [",".join(CSV_COLUMNS)]
-        for res in results:
-            for row in res.rows:
-                lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
-                                      else str(row[c]) for c in CSV_COLUMNS))
-        print("\n".join(lines))
+        sys.stdout.write(csv_text(row for res in results for row in res.rows))
     if args.svg:
         y = "J" if results[0].rows and results[0].meta.get("label") == "J(R)" else "negativity"
         emit_svg(results, args.svg, y_column=y)

@@ -63,7 +63,9 @@ def negativity(rho: np.ndarray, subsystem: Subsystem = "first") -> NegativityRes
 
     w = hermitian_eig(partial_transpose(rho, subsystem)).eigenvalues
     neg = w[w < -NEGATIVE_EIG_TOL]
-    return NegativityResult(value=float(-neg.sum()), negative_eigenvalues=neg)
+    # an empty sum negated is -0.0; a separable state reports +0.0
+    value = float(-neg.sum()) if neg.size else 0.0
+    return NegativityResult(value=value, negative_eigenvalues=neg)
 
 
 def pure_state_negativity_oracle(coefficients: np.ndarray) -> float:

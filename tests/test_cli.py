@@ -1,9 +1,13 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from qutritxxz.cli import main
-from qutritxxz.sweeps import CSV_COLUMNS
+from qutritxxz.cli import EXIT_VALIDATION, build_parser, main
+from qutritxxz.model import ModelParams
+from qutritxxz.output import csv_text
+from qutritxxz.sweeps import CSV_COLUMNS, SweepSpec, run_sweep
 
 
 def test_negativity_point(capsys):
@@ -130,3 +134,72 @@ def test_validate_fast(capsys):
     out = capsys.readouterr().out
     assert "ALL CHECKS PASSED" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["negativity", "--R", "0.5", "--Dz", "0", "--T", "5"],
+    ["sweep", "--vary", "B", "--from", "0", "--to", "1", "--steps", "4", "--R", "0.5"],
+    ["figure", "fig1"],
+])
+def test_stdout_and_out_file_agree(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == printed
+
+
+def test_separable_point_prints_positive_zero(tmp_path, capsys):
+    argv = ["negativity", "--R", "0.5", "--Dz", "0", "--T", "5"]
+    out = tmp_path / "n.csv"
+    assert main(argv) == 0
+    assert main(argv + ["--out", str(out)]) == 0
+    for text in (capsys.readouterr().out, out.read_text()):
+        assert text.splitlines()[1].split(",")[-1] == "0.0"
+
+
+def test_spectrum_csv_has_plain_numbers(capsys):
+    assert main(["spectrum", "--R", "1", "--Dz", "1", "--B", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "np.float64" not in "\n".join(lines)
+    assert lines[1] == "eps1,2.0243934625956985"
+
+
+@pytest.mark.parametrize("argv, dest", [
+    (["negativity", "--R", "-1e-3"], "R"),
+    (["negativity", "--J", "-1e-3"], "J"),
+    (["negativity", "--B", "-1e-3"], "B"),
+    (["negativity", "--Dz", "-1e-3"], "Dz"),
+    (["negativity", "--gamma", "-1e-3"], "gamma"),
+    (["negativity", "--T", "-1e-3"], "T"),
+    (["sweep", "--vary", "B", "--steps", "3", "--to", "1", "--from", "-1e-3"], "start"),
+    (["sweep", "--vary", "B", "--steps", "3", "--from", "-2", "--to", "-1E-3"], "stop"),
+    (["critical", "--axis", "B", "--max", "-1e-3"], "axis_max"),
+    (["critical", "--axis", "Dz", "--threshold", "-1.e-3"], "threshold"),
+])
+def test_negative_exponent_values(argv, dest):
+    assert getattr(build_parser().parse_args(argv), dest) == -1e-3
+
+
+def test_negative_exponent_dz_point(capsys):
+    assert main(["negativity", "--R", "0.5", "--Dz", "-6.9e-05", "--T", "1"]) == 0
+    row = dict(zip(CSV_COLUMNS, capsys.readouterr().out.splitlines()[1].split(",")))
+    assert row["Dz"] == "-6.9e-05"
+
+
+def test_negativity_row_is_a_sweep_row(capsys):
+    assert main(["negativity", "--R", "0.5", "--Dz", "1", "--T", "1"]) == 0
+    sweep = run_sweep(SweepSpec(vary="T", start=1.0, stop=2.0, steps=2,
+                                fixed=ModelParams(R=0.5, Dz=1.0)))
+    assert capsys.readouterr().out == csv_text(sweep.rows[:1])
+
+
+def test_run_validation_script_exit_code(monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_validation.py"
+    spec = importlib.util.spec_from_file_location("run_validation", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "validate", lambda fast: {
+        "passed": False, "elapsed_seconds": 0.0,
+        "checks": [{"name": "stub", "passed": False, "detail": "forced failure"}]})
+    assert script.main([]) == EXIT_VALIDATION

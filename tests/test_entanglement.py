@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,12 @@ def test_negativity_maximally_mixed():
     res = negativity(np.eye(9, dtype=complex) / 9)
     assert res.value == 0.0
     assert res.negative_eigenvalues.size == 0
+
+
+def test_negativity_separable_is_positive_zero():
+    # no negative PT eigenvalues: the value must not be the -0.0 of a negated empty sum
+    res = negativity(np.eye(9, dtype=complex) / 9)
+    assert math.copysign(1.0, res.value) == 1.0
 
 
 def test_negativity_maximally_entangled():
