@@ -24,7 +24,7 @@ from .model import (
     effective_coupling,
     hamiltonian_tensor,
 )
-from .output import _fmt, csv_text, emit_csv, emit_svg, write_text
+from .output import _fmt, csv_text, emit_csv, emit_svg, json_text, write_text
 from .sweeps import (
     FIGURE_NAMES,
     ONSET_THRESHOLD,
@@ -171,7 +171,7 @@ def _cmd_spectrum(args):
             "numeric_sorted": [float(x) for x in numeric],
             "max_gap_vs_numeric": gap,
         }
-        _write(json.dumps(payload, indent=2), args.out)
+        _write(json_text(payload), args.out)
     else:
         lines = ["label,eigenvalue"]
         lines += [f"eps{i + 1},{_fmt(e)}" for i, e in enumerate(spec.eps)]
@@ -182,11 +182,11 @@ def _cmd_spectrum(args):
 
 def _cmd_negativity(args):
     p, t = _resolve(args)
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"temperature must be >= 0, got {t}")
     row = {"grid_param": "T", "grid_value": t, **_point(p, t)}
     if args.format == "json":
-        _write(json.dumps(row, indent=2), args.out)
+        _write(json_text(row), args.out)
     else:
         _write(csv_text([row]), args.out)
     return EXIT_OK
@@ -224,7 +224,7 @@ def _cmd_critical(args):
                     "bracket": list(cp.bracket)} for cp in points]
         _write(json.dumps(payload, indent=2), args.out)
         return EXIT_OK
-    if t <= 0:
+    if not t > 0:
         raise DomainError("--axis Dz requires a positive --T")
     dz_max = args.axis_max if args.axis_max is not None else 10.0
     try:

@@ -4,6 +4,12 @@ Negativity N = sum of |lambda| over the negative eigenvalues of the
 partial transpose; 0 for separable states, 1 for the maximally entangled
 qutrit pair.  Eigenvalues above -1e-12 count as zero so that sudden death
 of entanglement is reportable as an exact 0.
+
+H conserves M = m1 + m2, so every state the package builds is
+block-diagonal over the M sectors (sizes 1, 2, 3, 2, 1), and its partial
+transpose, for either subsystem, over the m1 - m2 sectors of the same
+sizes.  negativity takes both spectra block by block through
+sector_eigvalsh, which falls back to a dense solve for any other input.
 """
 
 from dataclasses import dataclass, field
@@ -11,13 +17,28 @@ from typing import Literal
 
 import numpy as np
 
-from .matkernel import hermitian_eig, is_hermitian
+from .matkernel import is_hermitian, sector_eigvalsh
 
 #: PT eigenvalues in [-NEGATIVE_EIG_TOL, 0) are eigensolver noise, not entanglement
 NEGATIVE_EIG_TOL = 1e-12
 STATE_TOL = 1e-9
 
 Subsystem = Literal["first", "second"]
+
+
+def _sectors(key) -> tuple:
+    """Basis indices 3 (m1 + 1) + (m2 + 1) grouped by key(m1, m2), in key order."""
+    groups = {}
+    for m1 in (-1, 0, 1):
+        for m2 in (-1, 0, 1):
+            groups.setdefault(key(m1, m2), []).append(3 * (m1 + 1) + (m2 + 1))
+    return tuple(tuple(groups[k]) for k in sorted(groups))
+
+
+#: sectors of rho: total magnetization m1 + m2
+STATE_SECTORS = _sectors(lambda m1, m2: m1 + m2)
+#: sectors of the partial transpose over either qutrit: m1 - m2
+PT_SECTORS = _sectors(lambda m1, m2: m1 - m2)
 
 
 class InvalidState(ValueError):
@@ -58,10 +79,10 @@ def negativity(rho: np.ndarray, subsystem: Subsystem = "first") -> NegativityRes
         raise InvalidState("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > STATE_TOL:
         raise InvalidState(f"trace is {np.trace(rho).real}, expected 1")
-    if hermitian_eig(rho).eigenvalues[0] < -STATE_TOL:
+    if sector_eigvalsh(rho, STATE_SECTORS)[0] < -STATE_TOL:
         raise InvalidState("density matrix is not positive semidefinite")
 
-    w = hermitian_eig(partial_transpose(rho, subsystem)).eigenvalues
+    w = sector_eigvalsh(partial_transpose(rho, subsystem), PT_SECTORS)
     neg = w[w < -NEGATIVE_EIG_TOL]
     # an empty sum negated is -0.0; a separable state reports +0.0
     value = float(-neg.sum()) if neg.size else 0.0

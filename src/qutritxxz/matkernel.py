@@ -5,9 +5,15 @@ Jacobi iteration with unitary 2x2 rotations, which is robust and exact
 enough (off-diagonal norm driven below 1e-14 * ||A||) for the 9x9
 problems this package cares about.  numpy is used only as the array
 carrier; no lapack eigenroutine is called.
+
+sector_eigvalsh takes the eigenvalues of a matrix that is block-diagonal
+over given index sectors block by block, which is what the conserved
+magnetization of the qutrit dimer makes of every state it builds.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -146,3 +152,102 @@ def hermitian_eig(h) -> EigenDecomposition:
     w = np.diag(a).real.copy()
     order = np.argsort(w, kind="stable")
     return EigenDecomposition(eigenvalues=w[order], eigenvectors=v[:, order])
+
+
+@lru_cache(maxsize=None)
+def _off_sector_mask(sectors) -> np.ndarray:
+    """True at every entry outside the diagonal blocks of `sectors`, which
+    must partition range(n)."""
+    n = sum(len(block) for block in sectors)
+    if sorted(i for block in sectors for i in block) != list(range(n)):
+        raise ValueError(f"sectors {sectors} do not partition range({n})")
+    mask = np.ones((n, n), dtype=bool)
+    for block in sectors:
+        mask[np.ix_(block, block)] = False
+    mask.flags.writeable = False
+    return mask
+
+
+def _jacobi_eigvals(off: list) -> list:
+    """Eigenvalues of a small Hermitian block, given as nested lists of
+    Python complex, by cyclic Jacobi on Python scalars.  Same target and
+    sweep cap as hermitian_eig.  The diagonal is tracked as real floats."""
+    n = len(off)
+    diag = [off[i][i].real for i in range(n)]
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    off2 = 2.0 * sum(abs(off[p][q]) ** 2 for p, q in pairs)
+    norm = math.sqrt(sum(d * d for d in diag) + off2)
+    target = max(JACOBI_RELTOL * norm, 1e-300)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        off_norm = math.sqrt(off2)
+        if off_norm <= target:
+            return diag
+        # rotating entries much smaller than the target norm is wasted work
+        thresh = 0.1 * max(off_norm, target) / n
+        for p, q in pairs:
+            apq = off[p][q]
+            mag = abs(apq)
+            if mag < thresh:
+                continue
+            phase = apq / mag
+            tau = (diag[q] - diag[p]) / (2.0 * mag)
+            if tau >= 0.0:
+                t = 1.0 / (tau + math.hypot(1.0, tau))
+            else:
+                t = -1.0 / (-tau + math.hypot(1.0, tau))
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            diag[p] -= t * mag
+            diag[q] += t * mag
+            off[p][q] = off[q][p] = 0j
+            # rows and columns p and q of R^H A R, kept Hermitian
+            for k in range(n):
+                if k == p or k == q:
+                    continue
+                akp, akq = off[k][p], off[k][q]
+                off[k][p] = c * akp - s * phase.conjugate() * akq
+                off[k][q] = s * phase * akp + c * akq
+                off[p][k] = off[k][p].conjugate()
+                off[q][k] = off[k][q].conjugate()
+        off2 = 2.0 * sum(abs(off[p][q]) ** 2 for p, q in pairs)
+    raise NoConvergence(
+        f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps on a "
+        f"{n}x{n} block (off-diagonal norm {math.sqrt(off2):.3e}, target {target:.3e})"
+    )
+
+
+def sector_eigvalsh(a, sectors) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, taken block by block.
+
+    `sectors` is a tuple of index tuples that partitions the rows.  When
+    every entry outside those diagonal blocks is exactly 0.0, the spectrum
+    is the union of the block spectra: a 1x1 block is its diagonal entry,
+    a 2x2 block has the closed form m +- hypot((a - b)/2, |c|), and a
+    larger block goes through cyclic Jacobi on Python scalars.  Any other
+    matrix goes whole to hermitian_eig.
+    """
+    a = asmatrix(a)
+    if a.shape[0] != a.shape[1] or not is_hermitian(a):
+        raise NotHermitian(f"matrix of shape {a.shape} is not Hermitian within {HERMITICITY_ATOL}")
+    mask = _off_sector_mask(sectors)
+    if mask.shape != a.shape:
+        raise ValueError(f"sectors cover {mask.shape[0]} indices, matrix has shape {a.shape}")
+    if a[mask].any():
+        return hermitian_eig(a).eigenvalues
+
+    rows = a.tolist()
+    w = []
+    for block in sectors:
+        if len(block) == 1:
+            i, = block
+            w.append(rows[i][i].real)
+        elif len(block) == 2:
+            i, j = block
+            x, y = rows[i][i].real, rows[j][j].real
+            mid = 0.5 * (x + y)
+            rad = math.hypot(0.5 * (x - y), abs(rows[i][j]))
+            w += [mid - rad, mid + rad]
+        else:
+            w += _jacobi_eigvals([[rows[i][j] for j in block] for i in block])
+    w.sort()
+    return np.array(w)

@@ -67,6 +67,10 @@ class ModelParams:
     j_override: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("R", "gamma", "Dz", "B", "j_override"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.j_override is None and self.R <= 0:
             raise DomainError(f"R must be positive without a direct-J override, got {self.R}")
 

@@ -35,14 +35,30 @@ def write_text(path, text: str) -> None:
             fh.truncate()
 
 
+def _plain(x):
+    """A float as a plain Python float with -0.0 written as 0.0; lists and
+    dicts element by element; anything else as it is."""
+    if isinstance(x, float):
+        # float() drops numpy's np.float64(...) repr
+        return 0.0 if x == 0.0 else float(x)
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_plain(v) for v in x]
+    return x
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
-        if x == 0.0:
-            return "0.0"  # normalize -0.0
-        return repr(float(x))  # float() drops numpy's np.float64(...) repr
+        return repr(_plain(x))
     if x is None:
         return ""
     return str(x)
+
+
+def json_text(payload) -> str:
+    """Indented JSON whose numbers read as the CSV ones do."""
+    return json.dumps(_plain(payload), indent=2)
 
 
 def csv_text(rows) -> str:

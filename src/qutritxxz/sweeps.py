@@ -23,7 +23,7 @@ from .model import (
     hamiltonian_tensor,
 )
 from .matkernel import hermitian_eig
-from .thermal import GROUND_DEGENERACY_TOL, gibbs, ground_state_mixture, partition_function
+from .thermal import GROUND_DEGENERACY_TOL, gibbs, ground_state_mixture
 
 CSV_COLUMNS = (
     "grid_param", "grid_value", "T", "B", "Dz", "R", "gamma",
@@ -67,8 +67,12 @@ class SweepSpec:
             raise ValueError(f"need start < stop, got [{self.start}, {self.stop}]")
         if self.steps < 2:
             raise ValueError(f"need at least 2 steps, got {self.steps}")
-        if self.vary == "T" and self.start <= 0:
-            raise ValueError("temperature grid must start at T > 0")
+        # T = 0 would silently switch a point to the ground-state mixture
+        if self.vary == "T" and not self.grid()[0] > 0:
+            raise ValueError(f"temperature grid must start at T > 0 after rounding to "
+                             f"10 decimals, got start {self.start}")
+        if self.vary != "T" and not self.T >= 0:
+            raise ValueError(f"temperature must be >= 0, got {self.T}")
 
     def grid(self) -> np.ndarray:
         # round away linspace's last-bit noise so grid values print cleanly
@@ -91,12 +95,7 @@ class CriticalPoint:
 
 def _point(p: ModelParams, T: float) -> dict:
     r, theta, _ = effective_coupling(p)
-    if T == 0.0:
-        state = ground_state_mixture(p)
-        z = state.Z
-    else:
-        state = gibbs(p, T)
-        z = partition_function(p, T)
+    state = ground_state_mixture(p) if T == 0.0 else gibbs(p, T)
     try:
         eps = analytic_spectrum(p).eps
         ground_energy = float(eps.min())
@@ -105,7 +104,7 @@ def _point(p: ModelParams, T: float) -> dict:
     n = negativity(state.rho).value
     return {
         "T": T, "B": p.B, "Dz": p.Dz, "R": p.R, "gamma": p.gamma,
-        "J": p.J, "r": r, "theta": theta, "Z": z,
+        "J": p.J, "r": r, "theta": theta, "Z": state.Z,
         "ground_energy": ground_energy, "negativity": n,
     }
 
@@ -197,7 +196,7 @@ def detect_critical_dz(p: ModelParams, T: float, dz_max: float = 10.0,
                        threshold: float = ONSET_THRESHOLD,
                        resolution: float = 1e-2) -> CriticalPoint:
     """Smallest Dz >= 0 where negativity exceeds the onset threshold."""
-    if T <= 0:
+    if not T > 0:
         raise ValueError(f"temperature must be positive, got {T}")
 
     def n_at(dz):

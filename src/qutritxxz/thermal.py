@@ -54,7 +54,7 @@ def _unshifted_z(zs: float, beta: float, eps_min: float) -> float:
 
 def partition_function(p: ModelParams, T: float) -> float:
     """Z = sum_i exp(-beta eps_i), overflow-safe via the spectral shift."""
-    if T <= 0:
+    if not T > 0:
         raise DomainError(f"temperature must be positive, got {T}")
     beta = 1.0 / T
     try:
@@ -67,7 +67,7 @@ def partition_function(p: ModelParams, T: float) -> float:
 
 def gibbs_numeric(p: ModelParams, T: float) -> ThermalState:
     """exp(-beta H)/Z through the numeric eigensolver."""
-    if T <= 0:
+    if not T > 0:
         raise DomainError(f"temperature must be positive, got {T}")
     beta = 1.0 / T
     dec = hermitian_eig(hamiltonian_tensor(p))
@@ -120,7 +120,7 @@ def _analytic_rho(spec: AnalyticSpectrum, theta: float, beta: float) -> np.ndarr
 
 def gibbs_analytic(p: ModelParams, T: float) -> ThermalState:
     """exp(-beta H)/Z from the closed-form matrix elements."""
-    if T <= 0:
+    if not T > 0:
         raise DomainError(f"temperature must be positive, got {T}")
     r, theta, degenerate = effective_coupling(p)
     if degenerate:
@@ -133,7 +133,11 @@ def gibbs_analytic(p: ModelParams, T: float) -> ThermalState:
 
 
 def gibbs(p: ModelParams, T: float) -> ThermalState:
-    """Closed-form route when available, numeric fallback at r = 0."""
+    """Closed-form route when available, numeric fallback at r = 0.
+
+    T must be positive; NaN is rejected.  T = inf is beta = 0, the
+    maximally mixed state 1/9 with Z = 9.
+    """
     try:
         return gibbs_analytic(p, T)
     except DegenerateCoupling:

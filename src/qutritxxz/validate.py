@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .entanglement import (
+    NEGATIVE_EIG_TOL,
     negativity,
     partial_transpose,
     pure_state_negativity_oracle,
@@ -134,6 +135,26 @@ def check_oracle(seed=13):
     ]
 
 
+def check_negativity_routes(n_draws=100, seed=20240903):
+    """Block-by-block negativity vs dense Jacobi on the whole partial
+    transpose, for states from every route a sweep point can take: the
+    closed form, the numeric fallback at r = 0 and the T = 0 mixture."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_draws):
+        p = _random_params(rng)
+        t = float(rng.uniform(0.01, 5.0))
+        states = (gibbs_analytic(p, t),
+                  gibbs_numeric(replace(p, Dz=0.0, j_override=0.0), t),
+                  ground_state_mixture(p))
+        for state in states:
+            w = hermitian_eig(partial_transpose(state.rho)).eigenvalues
+            dense = -float(w[w < -NEGATIVE_EIG_TOL].sum())
+            worst = max(worst, abs(negativity(state.rho).value - dense))
+    return [Check("negativity_sector_vs_dense", worst < 1e-12, worst, 1e-12,
+                  f"{n_draws} draws x 3 routes, T in [0.01, 5]")]
+
+
 def check_hf_maximum():
     grid = np.arange(0.01, 8.0, 0.001)
     vals = np.array([hf_coupling(r) for r in grid])
@@ -194,6 +215,7 @@ def validate(fast: bool = False) -> dict:
     checks += check_gibbs_routes(n_draws=40 if fast else 200)
     checks += check_symmetries(n_draws=5 if fast else 20)
     checks += check_oracle()
+    checks += check_negativity_routes(n_draws=20 if fast else 100)
     checks += check_hf_maximum()
     checks += check_headline()
     checks += check_critical_field()

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,33 @@ def test_mutually_exclusive_r_and_j(capsys):
 
 def test_invalid_temperature(capsys):
     assert main(["negativity", "--R", "0.5", "--T", "-1"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["R", "J", "B", "Dz", "gamma", "T"])
+def test_nan_flag_fails_at_the_boundary(flag, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        assert main(["negativity", f"--{flag}", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nan" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["negativity", "--R", "0.5", "--Dz", "-0.0", "--T", "1"],
+    ["spectrum", "--R", "1", "--Dz", "-0.0", "--gamma", "0", "--B", "0"],
+])
+def test_json_and_csv_numbers_agree(argv, capsys):
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    if argv[0] == "negativity":
+        cells = dict(zip(lines[0].split(","), lines[1].split(",")))
+        numbers = {k: v for k, v in payload.items() if k != "grid_param"}
+    else:
+        cells = dict(line.split(",") for line in lines[1:10])
+        numbers = payload["eigenvalues"]
+    assert {k: repr(v) for k, v in numbers.items()} == {k: cells[k] for k in numbers}
 
 
 def test_unknown_subcommand_exits_2():

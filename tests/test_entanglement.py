@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qutritxxz.cli import main
 from qutritxxz.entanglement import (
     InvalidState,
     UnsupportedStructure,
@@ -10,8 +11,11 @@ from qutritxxz.entanglement import (
     partial_transpose,
     pure_state_negativity_oracle,
 )
+from qutritxxz.matkernel import hermitian_eig
 from qutritxxz.model import ModelParams, analytic_spectrum
-from qutritxxz.thermal import gibbs_analytic, ground_state_mixture
+from qutritxxz.sweeps import figure_preset
+from qutritxxz.thermal import gibbs_analytic, gibbs_numeric, ground_state_mixture
+from qutritxxz.validate import validate
 
 from conftest import haar_unitary, random_params
 
@@ -214,3 +218,28 @@ def test_negativity_value_matches_stored_eigenvalues(rng):
     assert res.value == pytest.approx(float(np.abs(res.negative_eigenvalues).sum()),
                                       abs=1e-12)
     assert 0.0 <= res.value <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("subsystem", ["first", "second"])
+def test_negativity_matches_dense_path_on_every_route(subsystem, rng):
+    for _ in range(30):
+        p = random_params(rng)
+        t = float(rng.uniform(0.01, 5.0))
+        r0 = ModelParams(j_override=0.0, Dz=0.0, gamma=p.gamma, B=p.B)
+        for rho in (gibbs_analytic(p, t).rho, gibbs_numeric(r0, t).rho,
+                    ground_state_mixture(p).rho):
+            w = hermitian_eig(partial_transpose(rho, subsystem)).eigenvalues
+            dense = -float(w[w < -1e-12].sum())
+            assert abs(negativity(rho, subsystem).value - dense) < 1e-12
+
+
+def test_library_path_calls_no_lapack_eigenroutine(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.linalg eigenroutine called on the library path")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    assert len(figure_preset("fig2a")) == 3
+    assert len(figure_preset("fig4c")) == 1
+    assert main(["negativity", "--R", "0.5", "--Dz", "1", "--T", "0.04"]) == 0
+    assert validate(fast=True)["passed"]

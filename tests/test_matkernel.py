@@ -113,3 +113,62 @@ def test_eig_matches_lapack_oracle(rng):
         ours = mk.hermitian_eig(h).eigenvalues
         theirs = np.linalg.eigvalsh(h)
         assert np.max(np.abs(ours - theirs)) < 1e-10
+
+
+SECTORS = ((0,), (1, 3), (2, 4, 6), (5, 7), (8,))
+
+
+def _sector_matrix(rng, kind):
+    """A Hermitian 9x9 matrix that is block-diagonal over SECTORS, except
+    for kind == "dense"."""
+    if kind == "dense":
+        return random_hermitian(rng)
+    a = np.zeros((9, 9), dtype=complex)
+    for block in SECTORS:
+        n = len(block)
+        if kind == "zero_blocks" and rng.random() < 0.5:
+            continue
+        if n == 3 and kind in ("degenerate", "near_degenerate"):
+            lam, mu = rng.normal(size=2)
+            gap = 0.0 if kind == "degenerate" else 1e-9
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            b = (q * [lam, lam + gap, mu]) @ q.conj().T
+            b = (b + b.conj().T) / 2
+        else:
+            b = random_hermitian(rng, n)
+        a[np.ix_(block, block)] = b
+    return a
+
+
+@given(st.integers(0, 10_000),
+       st.sampled_from(["random", "degenerate", "near_degenerate", "zero_blocks", "dense"]))
+@settings(max_examples=200, deadline=None)
+def test_sector_eigvalsh_matches_hermitian_eig(seed, kind):
+    a = _sector_matrix(np.random.default_rng(seed), kind)
+    w = mk.sector_eigvalsh(a, SECTORS)
+    assert np.all(np.diff(w) >= 0)
+    assert np.max(np.abs(w - mk.hermitian_eig(a).eigenvalues)) < 1e-12
+
+
+def test_sector_eigvalsh_degenerate_block_exact():
+    # a multiple of the identity has no off-diagonal entry to rotate
+    a = np.diag([2.0, 1.0, 0.5, 1.0, 0.5, 3.0, 0.5, 3.0, -1.0]).astype(complex)
+    assert np.array_equal(mk.sector_eigvalsh(a, SECTORS),
+                          [-1.0, 0.5, 0.5, 0.5, 1.0, 1.0, 2.0, 3.0, 3.0])
+
+
+def test_sector_eigvalsh_input_checks():
+    with pytest.raises(mk.NotHermitian):
+        mk.sector_eigvalsh(np.triu(np.ones((9, 9), dtype=complex)), SECTORS)
+    with pytest.raises(ValueError):
+        mk.sector_eigvalsh(np.full((9, 9), np.nan), SECTORS)
+    with pytest.raises(ValueError, match="do not partition"):
+        mk.sector_eigvalsh(np.eye(9), ((0, 1), (1, 2, 3, 4, 5, 6, 7, 8)))
+    with pytest.raises(ValueError, match="matrix has shape"):
+        mk.sector_eigvalsh(np.eye(4), SECTORS)
+
+
+def test_sector_eigvalsh_sweep_cap(monkeypatch, rng):
+    monkeypatch.setattr(mk, "JACOBI_MAX_SWEEPS", 0)
+    with pytest.raises(mk.NoConvergence):
+        mk.sector_eigvalsh(_sector_matrix(rng, "random"), SECTORS)

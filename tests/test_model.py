@@ -69,6 +69,13 @@ def test_model_params_requires_positive_r():
     assert p.J == -0.5
 
 
+@pytest.mark.parametrize("field", ["R", "gamma", "Dz", "B", "j_override"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_model_params_rejects_non_finite(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        ModelParams(**{field: value})
+
+
 def test_effective_coupling_examples():
     r, theta, deg = effective_coupling(ModelParams(R=1.0, Dz=0.0, j_override=0.5))
     assert (r, theta, deg) == (0.5, 0.0, False)

@@ -27,6 +27,22 @@ def test_spec_validation():
         SweepSpec(vary="T", start=0.0, stop=1, steps=10)
 
 
+def test_t_grid_checked_after_rounding():
+    # 1e-11 rounds to T = 0.0, which would silently take the T = 0 route
+    with pytest.raises(ValueError, match="after rounding"):
+        SweepSpec(vary="T", start=1e-11, stop=1.0, steps=3)
+    assert SweepSpec(vary="T", start=1e-10, stop=1.0, steps=3).grid()[0] == 1e-10
+
+
+def test_temperature_checks_reject_nan():
+    for t in (float("nan"), -1.0):
+        with pytest.raises(ValueError):
+            SweepSpec(vary="B", start=0.0, stop=1.0, steps=3, T=t)
+    assert SweepSpec(vary="B", start=0.0, stop=1.0, steps=3, T=0.0).T == 0.0
+    with pytest.raises(ValueError):
+        detect_critical_dz(ModelParams(R=0.5, B=0.5), T=float("nan"))
+
+
 def test_run_sweep_t_monotone_decay():
     spec = SweepSpec(vary="T", start=0.04, stop=3.0, steps=100,
                      fixed=ModelParams(R=0.5, Dz=1.0, B=0.0))

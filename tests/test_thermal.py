@@ -46,6 +46,20 @@ def test_partition_function_domain():
         partition_function(P_REF, -1.0)
 
 
+@pytest.mark.parametrize("route", [partition_function, gibbs, gibbs_analytic, gibbs_numeric])
+def test_nan_temperature_rejected(route):
+    with pytest.raises(DomainError):
+        route(P_REF, float("nan"))
+
+
+def test_infinite_temperature_is_maximally_mixed():
+    for route in (gibbs_analytic, gibbs_numeric):
+        state = route(P_REF, float("inf"))
+        assert state.beta == 0.0
+        assert state.Z == 9.0
+        assert np.max(np.abs(state.rho - np.eye(9) / 9)) < 1e-15
+
+
 def test_partition_function_matches_trace(rng):
     for _ in range(10):
         p = random_params(rng)
