@@ -48,13 +48,14 @@ _PARAM_KEYS = ("R", "B", "Dz", "gamma", "T", "J")
 
 
 class _Parser(argparse.ArgumentParser):
-    """Takes "--Dz -6.9e-05" as a flag and its value.  argparse's own
-    negative-number pattern has no exponent form, so it would read the
-    value as a second option."""
+    """Takes "--Dz -6.9e-05" and "--B -inf" as a flag and its value.
+    argparse's own negative-number pattern has no exponent, inf or nan
+    form, so it would read the value as a second option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 def _add_common(parser):

@@ -44,35 +44,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(asmatrix(a), asmatrix(b))
 
 
-def matmul(a, b) -> np.ndarray:
-    a, b = asmatrix(a), asmatrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    return asmatrix(a).conj().T
-
-
-def trace(a) -> complex:
-    a = asmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("trace requires a square matrix")
-    return complex(np.trace(a))
-
-
-def scale(c, a) -> np.ndarray:
-    return complex(c) * asmatrix(a)
-
-
-def add(a, b) -> np.ndarray:
-    a, b = asmatrix(a), asmatrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} + {b.shape}")
-    return a + b
-
-
 def is_hermitian(a, atol=HERMITICITY_ATOL) -> bool:
     a = asmatrix(a)
     return a.shape[0] == a.shape[1] and np.max(np.abs(a - a.conj().T)) <= atol

@@ -7,6 +7,7 @@ the field-sweep entanglement plateaus sharp instead of smeared by a tiny
 temperature.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -14,16 +15,8 @@ import numpy as np
 
 from . import __version__
 from .entanglement import negativity
-from .model import (
-    SIGN_CONVENTION_NOTE,
-    DegenerateCoupling,
-    ModelParams,
-    analytic_spectrum,
-    effective_coupling,
-    hamiltonian_tensor,
-)
-from .matkernel import hermitian_eig
-from .thermal import GROUND_DEGENERACY_TOL, gibbs, ground_state_mixture
+from .model import SIGN_CONVENTION_NOTE, ModelParams, effective_coupling
+from .thermal import GROUND_DEGENERACY_TOL, gibbs, ground_state_mixture, levels
 
 CSV_COLUMNS = (
     "grid_param", "grid_value", "T", "B", "Dz", "R", "gamma",
@@ -67,8 +60,12 @@ class SweepSpec:
             raise ValueError(f"need start < stop, got [{self.start}, {self.stop}]")
         if self.steps < 2:
             raise ValueError(f"need at least 2 steps, got {self.steps}")
+        grid = self.grid()
+        if not np.all(np.diff(grid) > 0):
+            raise ValueError(f"grid values collide after rounding to 10 decimals: "
+                             f"{self.steps} steps on [{self.start}, {self.stop}]")
         # T = 0 would silently switch a point to the ground-state mixture
-        if self.vary == "T" and not self.grid()[0] > 0:
+        if self.vary == "T" and not grid[0] > 0:
             raise ValueError(f"temperature grid must start at T > 0 after rounding to "
                              f"10 decimals, got start {self.start}")
         if self.vary != "T" and not self.T >= 0:
@@ -96,16 +93,10 @@ class CriticalPoint:
 def _point(p: ModelParams, T: float) -> dict:
     r, theta, _ = effective_coupling(p)
     state = ground_state_mixture(p) if T == 0.0 else gibbs(p, T)
-    try:
-        eps = analytic_spectrum(p).eps
-        ground_energy = float(eps.min())
-    except DegenerateCoupling:
-        ground_energy = float(hermitian_eig(hamiltonian_tensor(p)).eigenvalues[0])
-    n = negativity(state.rho).value
     return {
         "T": T, "B": p.B, "Dz": p.Dz, "R": p.R, "gamma": p.gamma,
         "J": p.J, "r": r, "theta": theta, "Z": state.Z,
-        "ground_energy": ground_energy, "negativity": n,
+        "ground_energy": state.ground_energy, "negativity": negativity(state.rho).value,
     }
 
 
@@ -152,14 +143,19 @@ def run_sweep(spec: SweepSpec, label: Optional[str] = None) -> SweepResult:
     return SweepResult(rows=rows, meta=meta)
 
 
+def _check_scan(limit_name: str, limit: float, resolution: float):
+    """A scan limit must be finite (NaN would end the scan at once or never)
+    and the step positive and finite."""
+    if not math.isfinite(limit):
+        raise ValueError(f"{limit_name} must be finite, got {limit}")
+    if not (resolution > 0 and math.isfinite(resolution)):
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+
+
 def _ground_level_set(p: ModelParams) -> frozenset:
-    """Labels (1..9) of closed-form levels within tolerance of the minimum.
-    At r = 0 the Hamiltonian is diagonal in the product basis, so the basis
-    indices of the minimal diagonal entries serve as labels instead."""
-    try:
-        eps = analytic_spectrum(p).eps
-    except DegenerateCoupling:
-        eps = np.diag(hamiltonian_tensor(p)).real
+    """Labels (1..9) of the levels within tolerance of the minimum; at
+    r = 0 these are basis indices + 1 (see thermal.levels)."""
+    eps, _ = levels(p)
     lo = eps.min()
     return frozenset(int(i) + 1 for i in np.flatnonzero(eps - lo < GROUND_DEGENERACY_TOL))
 
@@ -171,6 +167,7 @@ def detect_critical_field(p: ModelParams, b_max: float = 5.0,
     A crossing is any change of the ground-level identity; each one shows
     up as a jump in the zero-temperature entanglement plateaus.
     """
+    _check_scan("b_max", b_max, resolution)
     points = []
     b = 0.0
     ident = _ground_level_set(replace(p, B=0.0))
@@ -198,6 +195,9 @@ def detect_critical_dz(p: ModelParams, T: float, dz_max: float = 10.0,
     """Smallest Dz >= 0 where negativity exceeds the onset threshold."""
     if not T > 0:
         raise ValueError(f"temperature must be positive, got {T}")
+    _check_scan("dz_max", dz_max, resolution)
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
 
     def n_at(dz):
         return negativity(gibbs(replace(p, Dz=dz), T).rho).value

@@ -1,11 +1,15 @@
-"""Gibbs state rho(T) = exp(-beta H)/Z by two independent routes.
+"""Gibbs state rho(T) = exp(-beta H)/Z and its T = 0 limit.
 
-gibbs_numeric diagonalizes the tensor-product Hamiltonian with the Jacobi
-kernel; gibbs_analytic assembles the closed-form matrix elements from the
-labeled spectrum.  Both apply the spectral shift eps -> eps - eps_min
-before exponentiating, so arbitrarily low temperatures never overflow.
-The two routes must agree entrywise to 1e-10; that equality is the main
-correctness check for the closed forms (and the eps9 sign).
+Every state on the point path comes from the nine closed-form levels and
+their labelled eigenvectors (levels): gibbs_analytic assembles the
+closed-form matrix elements, and at r = 0, where H is diagonal in the
+product basis, gibbs and ground_state_mixture take the diagonal of the
+closed-form Hamiltonian with the basis vectors.  gibbs_numeric
+diagonalizes the tensor-product Hamiltonian with the Jacobi kernel; it is
+the independent reference that validate and the tests compare against,
+entrywise to 1e-10, which checks the closed forms (and the eps9 sign).
+Every route applies the spectral shift eps -> eps - eps_min before
+exponentiating, so arbitrarily low temperatures never overflow.
 """
 
 import math
@@ -21,6 +25,7 @@ from .model import (
     ModelParams,
     analytic_spectrum,
     effective_coupling,
+    hamiltonian_closed_form,
     hamiltonian_tensor,
 )
 
@@ -32,11 +37,24 @@ GROUND_DEGENERACY_TOL = 1e-9
 class ThermalState:
     """Normalized thermal density matrix.  Z is the partition function; at
     beta = inf it holds the ground-level degeneracy instead (the limit of
-    the shifted sum)."""
+    the shifted sum).  ground_energy is the lowest level of H."""
 
     beta: float
     Z: float
     rho: np.ndarray
+    ground_energy: float
+
+
+def levels(p: ModelParams):
+    """The nine levels of H and their unit eigenvectors (columns), with no
+    dense solve: analytic_spectrum (labels 1..9) when r > 0; at r = 0, where
+    H is diagonal, the diagonal of hamiltonian_closed_form with the basis
+    vectors (labels are then basis indices + 1)."""
+    try:
+        spec = analytic_spectrum(p)
+    except DegenerateCoupling:
+        return hamiltonian_closed_form(p).diagonal().real, np.eye(9, dtype=complex)
+    return spec.eps, spec.vecs
 
 
 def _shifted_weights(eps: np.ndarray, beta: float):
@@ -52,30 +70,26 @@ def _unshifted_z(zs: float, beta: float, eps_min: float) -> float:
     return zs * math.exp(x) if x < 700.0 else math.inf
 
 
+def _spectral_state(eps: np.ndarray, vecs: np.ndarray, beta: float) -> ThermalState:
+    """exp(-beta H)/Z from the levels of H and their unit eigenvectors."""
+    u, zs = _shifted_weights(eps, beta)
+    eps_min = float(eps.min())
+    rho = (vecs * (u / zs)) @ vecs.conj().T
+    return ThermalState(beta=beta, Z=_unshifted_z(zs, beta, eps_min), rho=rho,
+                        ground_energy=eps_min)
+
+
 def partition_function(p: ModelParams, T: float) -> float:
     """Z = sum_i exp(-beta eps_i), overflow-safe via the spectral shift."""
-    if not T > 0:
-        raise DomainError(f"temperature must be positive, got {T}")
-    beta = 1.0 / T
-    try:
-        eps = analytic_spectrum(p).eps
-    except DegenerateCoupling:
-        eps = hermitian_eig(hamiltonian_tensor(p)).eigenvalues
-    _, zs = _shifted_weights(eps, beta)
-    return _unshifted_z(zs, beta, float(eps.min()))
+    return gibbs(p, T).Z
 
 
 def gibbs_numeric(p: ModelParams, T: float) -> ThermalState:
     """exp(-beta H)/Z through the numeric eigensolver."""
     if not T > 0:
         raise DomainError(f"temperature must be positive, got {T}")
-    beta = 1.0 / T
     dec = hermitian_eig(hamiltonian_tensor(p))
-    u, zs = _shifted_weights(dec.eigenvalues, beta)
-    v = dec.eigenvectors
-    rho = (v * (u / zs)) @ v.conj().T
-    return ThermalState(beta=beta, Z=_unshifted_z(zs, beta, float(dec.eigenvalues.min())),
-                        rho=rho)
+    return _spectral_state(dec.eigenvalues, dec.eigenvectors, 1.0 / T)
 
 
 def _analytic_rho(spec: AnalyticSpectrum, theta: float, beta: float) -> np.ndarray:
@@ -129,11 +143,14 @@ def gibbs_analytic(p: ModelParams, T: float) -> ThermalState:
     spec = analytic_spectrum(p)
     rho = _analytic_rho(spec, theta, beta)
     _, zs = _shifted_weights(spec.eps, beta)
-    return ThermalState(beta=beta, Z=_unshifted_z(zs, beta, float(spec.eps.min())), rho=rho)
+    eps_min = float(spec.eps.min())
+    return ThermalState(beta=beta, Z=_unshifted_z(zs, beta, eps_min), rho=rho,
+                        ground_energy=eps_min)
 
 
 def gibbs(p: ModelParams, T: float) -> ThermalState:
-    """Closed-form route when available, numeric fallback at r = 0.
+    """Closed-form route; at r = 0 the diagonal Boltzmann weights of the
+    closed-form levels.
 
     T must be positive; NaN is rejected.  T = inf is beta = 0, the
     maximally mixed state 1/9 with Z = 9.
@@ -141,16 +158,17 @@ def gibbs(p: ModelParams, T: float) -> ThermalState:
     try:
         return gibbs_analytic(p, T)
     except DegenerateCoupling:
-        return gibbs_numeric(p, T)
+        return _spectral_state(*levels(p), 1.0 / T)
 
 
 def ground_state_mixture(p: ModelParams) -> ThermalState:
     """T = 0 limit: equal-weight mixture over the (possibly degenerate)
-    ground level.  At a level crossing this is honestly rank-deficient."""
-    dec = hermitian_eig(hamiltonian_tensor(p))
-    w = dec.eigenvalues
-    ground = w - w[0] < GROUND_DEGENERACY_TOL
+    ground level of the closed-form levels.  At a level crossing this is
+    honestly rank-deficient."""
+    eps, vecs = levels(p)
+    eps_min = float(eps.min())
+    ground = eps - eps_min < GROUND_DEGENERACY_TOL
     g = int(ground.sum())
-    v = dec.eigenvectors[:, ground]
+    v = vecs[:, ground]
     rho = (v @ v.conj().T) / g
-    return ThermalState(beta=math.inf, Z=float(g), rho=rho)
+    return ThermalState(beta=math.inf, Z=float(g), rho=rho, ground_energy=eps_min)

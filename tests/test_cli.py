@@ -1,11 +1,10 @@
-import importlib.util
 import json
+import math
 import warnings
-from pathlib import Path
 
 import pytest
 
-from qutritxxz.cli import EXIT_VALIDATION, build_parser, main
+from qutritxxz.cli import build_parser, main
 from qutritxxz.model import ModelParams
 from qutritxxz.output import csv_text
 from qutritxxz.sweeps import CSV_COLUMNS, SweepSpec, run_sweep
@@ -99,6 +98,25 @@ def test_nan_flag_fails_at_the_boundary(flag, capsys):
         assert main(["negativity", f"--{flag}", "nan"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nan" in err
+
+
+@pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
+def test_negative_inf_and_nan_reach_the_model_check(value, capsys):
+    assert not math.isfinite(build_parser().parse_args(["negativity", "--B", value]).B)
+    assert main(["negativity", "--R", "0.5", "--B", value]) == 2
+    assert capsys.readouterr().err.startswith("error: B must be finite")
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical", "--axis", "Dz", "--R", "0.3", "--B", "0.5", "--T", "0.08", "--max", "nan"],
+    ["critical", "--axis", "Dz", "--R", "0.3", "--B", "0.5", "--T", "0.08",
+     "--threshold", "nan"],
+    ["critical", "--axis", "B", "--R", "1", "--Dz", "1", "--max", "nan"],
+    ["sweep", "--vary", "B", "--from", "0", "--to", "1e-11", "--steps", "3", "--R", "0.5"],
+])
+def test_bad_scan_and_grid_inputs_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -221,13 +239,3 @@ def test_negativity_row_is_a_sweep_row(capsys):
                                 fixed=ModelParams(R=0.5, Dz=1.0)))
     assert capsys.readouterr().out == csv_text(sweep.rows[:1])
 
-
-def test_run_validation_script_exit_code(monkeypatch, capsys):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_validation.py"
-    spec = importlib.util.spec_from_file_location("run_validation", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    monkeypatch.setattr(script, "validate", lambda fast: {
-        "passed": False, "elapsed_seconds": 0.0,
-        "checks": [{"name": "stub", "passed": False, "detail": "forced failure"}]})
-    assert script.main([]) == EXIT_VALIDATION

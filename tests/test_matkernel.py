@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qutritxxz import matkernel as mk
-from qutritxxz.model import SPIN_X, SPIN_Z
+from qutritxxz.model import SPIN_Z
 
 from conftest import random_hermitian
 
@@ -29,30 +29,6 @@ def test_kron_associative_on_integer_matrices(seed):
     rng = np.random.default_rng(seed)
     a, b, c = (rng.integers(-3, 4, size=(2, 2)).astype(complex) for _ in range(3))
     assert np.array_equal(mk.kron(mk.kron(a, b), c), mk.kron(a, mk.kron(b, c)))
-
-
-def test_adjoint_involution(rng):
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.array_equal(mk.adjoint(mk.adjoint(a)), a)
-
-
-def test_trace_identity():
-    assert mk.trace(np.eye(9)) == 9
-
-
-def test_trace_spin_x_squared():
-    # sigma^x has eigenvalues +-1, 0
-    assert mk.trace(mk.matmul(SPIN_X, SPIN_X)) == pytest.approx(2.0, abs=1e-14)
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mk.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_add_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mk.add(np.ones((2, 2)), np.ones((3, 3)))
 
 
 def test_nonfinite_rejected():

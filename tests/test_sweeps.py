@@ -1,8 +1,12 @@
+import ast
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qutritxxz import cli, matkernel, model, sweeps, thermal
 from qutritxxz.model import ModelParams
 from qutritxxz.output import emit_csv, emit_svg
 from qutritxxz.sweeps import (
@@ -32,6 +36,15 @@ def test_t_grid_checked_after_rounding():
     with pytest.raises(ValueError, match="after rounding"):
         SweepSpec(vary="T", start=1e-11, stop=1.0, steps=3)
     assert SweepSpec(vary="T", start=1e-10, stop=1.0, steps=3).grid()[0] == 1e-10
+
+
+@pytest.mark.parametrize("vary, start, stop", [
+    ("B", 0.0, 1e-11), ("Dz", -1e-11, 0.0), ("R", 1.0, 1.0 + 1e-11), ("T", 1.0, 1.0 + 1e-11),
+])
+def test_grid_collision_after_rounding_rejected(vary, start, stop):
+    # three distinct linspace values round to fewer than three grid values
+    with pytest.raises(ValueError, match="collide after rounding"):
+        SweepSpec(vary=vary, start=start, stop=stop, steps=3)
 
 
 def test_temperature_checks_reject_nan():
@@ -112,6 +125,22 @@ def test_critical_field_none_without_coupling():
     # product ground state never changes identity again
     for cp in points:
         assert cp.value < 1e-2
+
+
+@pytest.mark.parametrize("b_max", [float("nan"), float("inf")])
+def test_critical_field_rejects_non_finite_limit(b_max):
+    with pytest.raises(ValueError, match="b_max must be finite"):
+        detect_critical_field(ModelParams(R=1.0, Dz=1.0), b_max=b_max)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"dz_max": float("nan")}, "dz_max must be finite"),
+    ({"threshold": float("nan")}, "threshold must be finite"),
+    ({"resolution": 0.0}, "resolution must be positive"),
+])
+def test_critical_dz_rejects_bad_scan_inputs(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        detect_critical_dz(ModelParams(R=0.3, B=0.5), T=0.08, **kwargs)
 
 
 def test_critical_dz_onset_exists():
@@ -204,3 +233,35 @@ def test_emit_svg(tmp_path):
     assert text.startswith("<svg")
     assert "<polyline" in text
     assert "negativity" in text
+
+
+def test_point_path_runs_no_dense_solver(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense solver or tensor Hamiltonian on the point path")
+
+    for module in (matkernel, model, thermal, sweeps, cli):
+        for name in ("hermitian_eig", "hamiltonian_tensor"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert len(figure_preset("fig4c")[0].rows) == 161
+    r0 = ModelParams(Dz=0.0, j_override=0.0)
+    for t in (0.5, 0.0):
+        rows = run_sweep(SweepSpec(vary="B", start=-1.0, stop=1.0, steps=5,
+                                   fixed=r0, T=t)).rows
+        assert [row["negativity"] for row in rows] == [0.0] * 5
+    assert cli.main(["negativity", "--R", "1", "--Dz", "1", "--B", "0.9", "--T", "0"]) == 0
+    assert cli.main(["critical", "--axis", "B", "--R", "1", "--Dz", "1", "--max", "2"]) == 0
+    capsys.readouterr()
+
+
+def test_benchmark_span_targets_resolve():
+    # perfbench wraps these names at startup; read its table, do not import it
+    layers = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    tree = ast.parse(layers.read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "SPAN_TARGETS" for t in node.targets))
+    assert len(targets) > 20
+    for target in targets:
+        module, name = target.split(".")
+        assert callable(getattr(importlib.import_module(f"qutritxxz.{module}"), name)), target

@@ -15,6 +15,7 @@ from qutritxxz.thermal import (
     gibbs_analytic,
     gibbs_numeric,
     ground_state_mixture,
+    levels,
     partition_function,
 )
 
@@ -130,7 +131,7 @@ def test_off_diagonals_vanish_at_high_t():
 def test_gibbs_analytic_degenerate_raises():
     with pytest.raises(DegenerateCoupling):
         gibbs_analytic(ModelParams(Dz=0.0, j_override=0.0), 1.0)
-    # the combined entry point falls back to the numeric route
+    # the combined entry point takes the diagonal closed-form levels at r = 0
     rho = gibbs(ModelParams(Dz=0.0, j_override=0.0, B=1.0), 1.0).rho
     assert abs(np.trace(rho).real - 1.0) < 1e-12
 
@@ -190,3 +191,29 @@ def test_low_t_matches_ground_state():
     p = ModelParams(R=0.5, gamma=1.0, Dz=1.0, B=0.0)
     diff = gibbs_numeric(p, 1e-3).rho - ground_state_mixture(p).rho
     assert np.max(np.abs(diff)) < 1e-6
+
+
+def test_r0_routes_match_jacobi(rng):
+    # at r = 0 H is diagonal: gibbs and the T = 0 mixture read the closed-form
+    # diagonal, which must match the Jacobi route on the tensor Hamiltonian
+    for _ in range(10):
+        p = ModelParams(j_override=0.0, Dz=0.0, gamma=float(rng.uniform(-2, 2)),
+                        B=float(rng.uniform(-3, 3)))
+        t = float(rng.uniform(0.05, 5.0))
+        fast, ref = gibbs(p, t), gibbs_numeric(p, t)
+        assert np.max(np.abs(fast.rho - ref.rho)) < 1e-15
+        assert fast.Z == pytest.approx(ref.Z, rel=1e-15)
+        assert fast.ground_energy == ref.ground_energy
+        eps, vecs = levels(p)
+        assert np.array_equal(vecs, np.eye(9))
+        assert np.array_equal(np.sort(eps), hermitian_eig(hamiltonian_tensor(p)).eigenvalues)
+        assert ground_state_mixture(p).ground_energy == eps.min()
+
+
+def test_ground_energy_is_the_lowest_level(rng):
+    for _ in range(5):
+        p = random_params(rng)
+        eps_min = float(analytic_spectrum(p).eps.min())
+        for state in (gibbs(p, 0.3), gibbs_analytic(p, 0.3), ground_state_mixture(p)):
+            assert state.ground_energy == eps_min
+        assert gibbs_numeric(p, 0.3).ground_energy == pytest.approx(eps_min, abs=1e-12)
