@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid arguments, 3 numerical failure,
 
 import argparse
 import json
+from dataclasses import asdict
 import re
 import sys
 
@@ -37,6 +38,7 @@ from .sweeps import (
     figure_preset,
     run_sweep,
 )
+from .thermal import levels
 from .validate import validate
 
 EXIT_OK = 0
@@ -68,8 +70,6 @@ def _add_common(parser):
     parser.add_argument("--T", type=float, default=None, help="temperature (k_B = 1)")
     parser.add_argument("--config", default=None, help="JSON config file; flags override it")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
-    parser.add_argument("--svg", default=None, help="also write an SVG chart here")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser():
@@ -82,10 +82,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="closed-form spectrum plus numeric cross-check")
-    _add_common(sp)
-
     ng = sub.add_parser("negativity", help="thermal negativity at a single point")
-    _add_common(ng)
+    for point in (sp, ng):
+        _add_common(point)
+        point.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sw = sub.add_parser("sweep", help="vary one parameter over a grid")
     _add_common(sw)
@@ -95,8 +95,10 @@ def build_parser():
     sw.add_argument("--steps", type=int, required=True)
 
     fg = sub.add_parser("figure", help="published figure sweep presets")
-    _add_common(fg)
     fg.add_argument("name", choices=FIGURE_NAMES)
+    fg.add_argument("--out", default=None, help="output file (default stdout)")
+    for grid in (sw, fg):
+        grid.add_argument("--svg", default=None, help="also write an SVG chart here")
 
     cr = sub.add_parser("critical", help="critical-point detection")
     _add_common(cr)
@@ -159,23 +161,25 @@ def _write(text, out):
 
 def _cmd_spectrum(args):
     p, _ = _resolve(args)
-    spec = analytic_spectrum(p)
+    eps, _ = levels(p)
     numeric = hermitian_eig(hamiltonian_tensor(p)).eigenvalues
-    gap = float(np.max(np.abs(spec.sorted_eigenvalues() - numeric)))
-    r, theta, _ = effective_coupling(p)
+    gap = float(np.max(np.abs(np.sort(eps) - numeric)))
+    r, theta, degenerate = effective_coupling(p)
     if args.format == "json":
+        spec = None if degenerate else analytic_spectrum(p)
         payload = {
             "params": {"R": p.R, "gamma": p.gamma, "Dz": p.Dz, "B": p.B,
                        "J": p.J, "r": r, "theta": theta},
-            "eigenvalues": {f"eps{i + 1}": float(e) for i, e in enumerate(spec.eps)},
-            "chi1": spec.chi1, "chi2": spec.chi2,
+            "eigenvalues": {f"eps{i + 1}": float(e) for i, e in enumerate(eps)},
+            "chi1": None if spec is None else spec.chi1,
+            "chi2": None if spec is None else spec.chi2,
             "numeric_sorted": [float(x) for x in numeric],
             "max_gap_vs_numeric": gap,
         }
         _write(json_text(payload), args.out)
     else:
         lines = ["label,eigenvalue"]
-        lines += [f"eps{i + 1},{_fmt(e)}" for i, e in enumerate(spec.eps)]
+        lines += [f"eps{i + 1},{_fmt(e)}" for i, e in enumerate(eps)]
         lines.append(f"max_gap_vs_numeric,{_fmt(gap)}")
         _write("\n".join(lines), args.out)
     return EXIT_OK
@@ -220,10 +224,8 @@ def _cmd_critical(args):
     p, t = _resolve(args)
     if args.axis == "B":
         b_max = args.axis_max if args.axis_max is not None else 5.0
-        points = detect_critical_field(p, b_max=b_max)
-        payload = [{"parameter": cp.parameter, "value": cp.value, "kind": cp.kind,
-                    "bracket": list(cp.bracket)} for cp in points]
-        _write(json.dumps(payload, indent=2), args.out)
+        points = [asdict(cp) for cp in detect_critical_field(p, b_max=b_max)]
+        _write(json.dumps(points, indent=2), args.out)
         return EXIT_OK
     if not t > 0:
         raise DomainError("--axis Dz requires a positive --T")
@@ -233,8 +235,7 @@ def _cmd_critical(args):
     except NoOnset as exc:
         _write(json.dumps({"error": "NoOnset", "detail": str(exc)}, indent=2), args.out)
         return EXIT_OK
-    _write(json.dumps({"parameter": cp.parameter, "value": cp.value, "kind": cp.kind,
-                       "bracket": list(cp.bracket)}, indent=2), args.out)
+    _write(json.dumps(asdict(cp), indent=2), args.out)
     return EXIT_OK
 
 

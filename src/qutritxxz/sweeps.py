@@ -5,6 +5,8 @@ else fixed, recording (J, r, theta, Z, ground energy, negativity) per
 point.  T = 0 grid points use the exact ground-level mixture, which makes
 the field-sweep entanglement plateaus sharp instead of smeared by a tiny
 temperature.
+The T = 0 critical fields, where those plateaus jump, are exact; the
+finite-T Dz onset is stepped and bisected.
 """
 
 import math
@@ -24,7 +26,8 @@ CSV_COLUMNS = (
 )
 
 BISECTION_TOL = 1e-8
-BRACKET_RESOLUTION = 1e-3
+#: Dz step of the onset scan before it bisects
+DZ_SCAN_STEP = 1e-2
 #: smallest negativity counted as a visible onset; finite-T negativity is
 #: never exactly zero near Dz = 0, only exponentially small
 ONSET_THRESHOLD = 1e-3
@@ -143,70 +146,61 @@ def run_sweep(spec: SweepSpec, label: Optional[str] = None) -> SweepResult:
     return SweepResult(rows=rows, meta=meta)
 
 
-def _check_scan(limit_name: str, limit: float, resolution: float):
-    """A scan limit must be finite (NaN would end the scan at once or never)
-    and the step positive and finite."""
-    if not math.isfinite(limit):
-        raise ValueError(f"{limit_name} must be finite, got {limit}")
-    if not (resolution > 0 and math.isfinite(resolution)):
-        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+def _check_finite(name: str, value: float):
+    """A scan limit or threshold must be finite: NaN ends a scan at once or never."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _ground_level_set(p: ModelParams) -> frozenset:
-    """Labels (1..9) of the levels within tolerance of the minimum; at
-    r = 0 these are basis indices + 1 (see thermal.levels)."""
-    eps, _ = levels(p)
-    lo = eps.min()
-    return frozenset(int(i) + 1 for i in np.flatnonzero(eps - lo < GROUND_DEGENERACY_TOL))
-
-
-def detect_critical_field(p: ModelParams, b_max: float = 5.0,
-                          resolution: float = BRACKET_RESOLUTION) -> list:
-    """T = 0 level crossings in B on [0, b_max], bisected to 1e-8.
+def detect_critical_field(p: ModelParams, b_max: float = 5.0) -> list:
+    """T = 0 level crossings in B on [0, b_max], exact.
 
     A crossing is any change of the ground-level identity; each one shows
-    up as a jump in the zero-temperature entanglement plateaus.
+    up as a jump in the zero-temperature entanglement plateaus.  The levels
+    are lines c_i + s_i B (slopes 0, +-1, +-2), so the crossings are the
+    breakpoints of their lower envelope.  Lines within GROUND_DEGENERACY_TOL
+    are tied, as in ground_state_mixture: levels meeting at one field are
+    one crossing, and a B = 0 degeneracy the field lifts is one at 0.0.
     """
-    _check_scan("b_max", b_max, resolution)
-    points = []
-    b = 0.0
-    ident = _ground_level_set(replace(p, B=0.0))
-    while b < b_max:
-        b_next = min(b + resolution, b_max)
-        ident_next = _ground_level_set(replace(p, B=b_next))
-        if ident_next != ident:
-            lo, hi = b, b_next
-            while hi - lo > BISECTION_TOL:
-                mid = 0.5 * (lo + hi)
-                if _ground_level_set(replace(p, B=mid)) == ident:
-                    lo = mid
-                else:
-                    hi = mid
-            points.append(CriticalPoint(parameter="B", value=0.5 * (lo + hi),
-                                        kind="LevelCrossing", bracket=(lo, hi)))
-            ident = ident_next
-        b = b_next
-    return points
+    _check_finite("b_max", b_max)
+    c = levels(replace(p, B=0.0))[0]
+    s = np.rint(levels(replace(p, B=1.0))[0] - c)
+    b, e = 0.0, c
+    tied = np.flatnonzero(c - c.min() < GROUND_DEGENERACY_TOL)
+    crossings = []
+    while True:
+        if np.ptp(s[tied]) > 0:    # lines of different slopes meet at b
+            crossings.append(b)
+        # of the tied lines, the one with the smallest slope stays lowest
+        k = min(tied, key=lambda i: (s[i], e[i]))
+        lower = np.flatnonzero(s < s[k])
+        if lower.size == 0:
+            break
+        meet = (c[lower] - c[k]) / (s[k] - s[lower])
+        b = float(meet.min())
+        e = c + s * b
+        # the first line to meet k is tied even where rounding exceeds the tolerance
+        tied = np.append(lower[(e[lower] - e[k] < GROUND_DEGENERACY_TOL) | (meet == b)], k)
+    return [CriticalPoint(parameter="B", value=x, kind="LevelCrossing", bracket=(x, x))
+            for x in crossings if x <= b_max]
 
 
 def detect_critical_dz(p: ModelParams, T: float, dz_max: float = 10.0,
-                       threshold: float = ONSET_THRESHOLD,
-                       resolution: float = 1e-2) -> CriticalPoint:
+                       threshold: float = ONSET_THRESHOLD) -> CriticalPoint:
     """Smallest Dz >= 0 where negativity exceeds the onset threshold."""
     if not T > 0:
         raise ValueError(f"temperature must be positive, got {T}")
-    _check_scan("dz_max", dz_max, resolution)
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
+    _check_finite("dz_max", dz_max)
+    _check_finite("threshold", threshold)
 
     def n_at(dz):
         return negativity(gibbs(replace(p, Dz=dz), T).rho).value
 
     if n_at(0.0) > threshold:
         raise NoOnset(f"negativity already exceeds {threshold} at Dz = 0")
-    lo, dz = 0.0, resolution
+    lo, dz = 0.0, DZ_SCAN_STEP
     while dz <= dz_max and n_at(dz) <= threshold:
-        lo, dz = dz, dz + resolution
+        lo, dz = dz, dz + DZ_SCAN_STEP
     if dz > dz_max:
         raise NoOnset(f"negativity stays below {threshold} up to Dz = {dz_max}")
     hi = dz

@@ -92,16 +92,16 @@ def gibbs_numeric(p: ModelParams, T: float) -> ThermalState:
     return _spectral_state(dec.eigenvalues, dec.eigenvectors, 1.0 / T)
 
 
-def _analytic_rho(spec: AnalyticSpectrum, theta: float, beta: float) -> np.ndarray:
+def _analytic_rho(spec: AnalyticSpectrum, theta: float, u: np.ndarray,
+                  zs: float) -> np.ndarray:
     """Closed-form Eq.-style matrix elements, written as combinations of the
-    shifted Boltzmann weights u_i of the nine labeled levels.
+    shifted Boltzmann weights u_i of the nine labeled levels (sum zs).
 
     The hyperbolic forms of the published elements are recovered exactly,
     e.g. rho22*Z = e^{-bB} cosh(b r) = (u1 + u2)/2 up to the common shift,
     and rho35*Z = -4 e^{b g J/2} sinh(b r (chi1+chi2)/4) / (chi1+chi2)
     = 2 chi1 u8/(chi1^2+8) - 2 chi2 u9/(chi2^2+8) via chi1 chi2 = 8.
     """
-    u, zs = _shifted_weights(spec.eps, beta)
     u1, u2, u3, u4, u5, u6, u7, u8, u9 = u
     c1, c2 = spec.chi1, spec.chi2
     d8 = c1 * c1 + 8.0
@@ -141,8 +141,8 @@ def gibbs_analytic(p: ModelParams, T: float) -> ThermalState:
         raise DegenerateCoupling("r = 0: closed forms unavailable, use gibbs_numeric")
     beta = 1.0 / T
     spec = analytic_spectrum(p)
-    rho = _analytic_rho(spec, theta, beta)
-    _, zs = _shifted_weights(spec.eps, beta)
+    u, zs = _shifted_weights(spec.eps, beta)
+    rho = _analytic_rho(spec, theta, u, zs)
     eps_min = float(spec.eps.min())
     return ThermalState(beta=beta, Z=_unshifted_z(zs, beta, eps_min), rho=rho,
                         ground_energy=eps_min)

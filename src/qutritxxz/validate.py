@@ -229,16 +229,20 @@ def check_headline():
 
 
 def check_critical_field():
-    """Bisection crossings vs the closed-form crossing equations at R=Dz=1."""
-    p = ModelParams(R=1.0, gamma=1.0, Dz=1.0)
-    expected = _field_crossings(p)
-    found = [cp.value for cp in detect_critical_field(p, b_max=2.0)]
-    if len(found) != len(expected):
-        return [Check("critical_field_bisection", False, float("inf"), 1e-6,
-                      f"expected {len(expected)} crossings, found {len(found)}")]
-    worst = max(abs(a - b) for a, b in zip(sorted(found), expected))
-    return [Check("critical_field_bisection", worst < 1e-6, worst, 1e-6,
-                  f"crossings at B = {', '.join(f'{b:.6f}' for b in sorted(found))}")]
+    """Envelope crossings vs the closed-form crossing equations at Dz = 1,
+    gamma = 1: R = 1 and seeded R in [0.2, 3], where both lie below B = 2."""
+    rng = np.random.default_rng(20240905)
+    worst = 0.0
+    for r in [1.0, *rng.uniform(0.2, 3.0, 20)]:
+        p = ModelParams(R=float(r), gamma=1.0, Dz=1.0)
+        expected = _field_crossings(p)
+        found = [cp.value for cp in detect_critical_field(p, b_max=2.0)]
+        if len(found) != len(expected):
+            worst = float("inf")
+            break
+        worst = max(worst, *(abs(a - b) for a, b in zip(found, expected)))
+    return [Check("critical_field_vs_closed_form", worst < 1e-12, worst, 1e-12,
+                  "R = 1 and 20 seeded R in [0.2, 3]")]
 
 
 def validate(fast: bool = False) -> dict:

@@ -75,6 +75,47 @@ def test_critical_field(capsys):
     assert points[1]["value"] == pytest.approx(1.246614, abs=1e-5)
 
 
+def test_critical_field_degenerate_at_zero_field(capsys):
+    assert main(["critical", "--axis", "B", "--J", "0", "--Dz", "0", "--max", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"parameter": "B", "value": 0.0, "kind": "LevelCrossing", "bracket": [0.0, 0.0]}]
+
+
+def test_spectrum_at_r0(capsys):
+    # H is diagonal; the labels are basis indices + 1
+    diagonal = [2.0, 1.0, 0.0, 1.0, 0.0, -1.0, 0.0, -1.0, -2.0]
+    argv = ["spectrum", "--J", "0", "--Dz", "0", "--B", "1"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == (["label,eigenvalue"]
+                     + [f"eps{i + 1},{e!r}" for i, e in enumerate(diagonal)]
+                     + ["max_gap_vs_numeric,0.0"])
+    assert main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["eigenvalues"].values()) == diagonal
+    assert payload["chi1"] is None and payload["chi2"] is None
+    assert payload["numeric_sorted"] == sorted(diagonal)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--R", "1", "--svg", "x.svg"],
+    ["negativity", "--R", "1", "--svg", "x.svg"],
+    ["critical", "--axis", "B", "--R", "1", "--svg", "x.svg"],
+    ["critical", "--axis", "B", "--R", "1", "--format", "csv"],
+    ["sweep", "--vary", "B", "--from", "0", "--to", "1", "--steps", "2", "--format", "json"],
+    ["figure", "fig1", "--format", "json"],
+    ["figure", "fig1", "--R", "3"],
+], ids=["spectrum-svg", "negativity-svg", "critical-svg", "critical-format",
+        "sweep-format", "figure-format", "figure-R"])
+def test_flags_a_command_ignores_are_rejected(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_critical_dz(capsys):
     assert main(["critical", "--axis", "Dz", "--R", "0.5", "--B", "0.5",
                  "--T", "0.08"]) == 0

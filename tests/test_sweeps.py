@@ -1,10 +1,13 @@
 import ast
 import importlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import random_params
+from hypothesis import given, settings, strategies as st
 
 from qutritxxz import cli, matkernel, model, sweeps, thermal
 from qutritxxz.model import ModelParams
@@ -18,6 +21,8 @@ from qutritxxz.sweeps import (
     figure_preset,
     run_sweep,
 )
+from qutritxxz.thermal import GROUND_DEGENERACY_TOL, levels
+from qutritxxz.validate import _field_crossings
 
 
 def test_spec_validation():
@@ -127,6 +132,76 @@ def test_critical_field_none_without_coupling():
         assert cp.value < 1e-2
 
 
+def _ground_set(p: ModelParams, b: float) -> frozenset:
+    eps = levels(replace(p, B=b))[0]
+    return frozenset(np.flatnonzero(eps - eps.min() < GROUND_DEGENERACY_TOL).tolist())
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["random", "r0", "tied_at_zero"]))
+@settings(max_examples=100, deadline=None)
+def test_critical_field_is_the_lower_envelope(seed, kind):
+    p = random_params(np.random.default_rng(seed))
+    if kind == "r0":
+        p = replace(p, Dz=0.0, j_override=0.0)
+    elif kind == "tied_at_zero":
+        p = replace(p, gamma=-1.0, Dz=0.0)
+    # every level is affine in B
+    c = levels(replace(p, B=0.0))[0]
+    s = np.rint(levels(replace(p, B=1.0))[0] - c)
+    assert np.max(np.abs(levels(p)[0] - (c + s * p.B))) < 1e-12
+    b_max = 5.0
+    points = detect_critical_field(p, b_max=b_max)
+    found = [cp.value for cp in points]
+    assert all(cp.bracket == (cp.value, cp.value) for cp in points)
+    assert found == sorted(set(found)) and all(0.0 <= b <= b_max for b in found)
+    # the ground set is constant across each gap and changes at each crossing
+    edges = sorted({0.0, *found, b_max})
+    gaps = []
+    for lo, hi in zip(edges, edges[1:]):
+        inside = {_ground_set(p, lo + f * (hi - lo)) for f in (0.25, 0.5, 0.75)}
+        assert len(inside) == 1
+        gaps.append(inside.pop())
+    assert all(a != b for a, b in zip(gaps, gaps[1:]))
+    # a crossing at 0 exactly when the field lifts a B = 0 degeneracy
+    assert (_ground_set(p, 0.0) != gaps[0]) == (found[:1] == [0.0])
+
+
+def test_critical_field_exact_cases():
+    # all nine levels vanish at r = B = 0; the field splits them at once
+    (cp,) = detect_critical_field(ModelParams(j_override=0.0, Dz=0.0), b_max=1.0)
+    assert (cp.value, cp.bracket) == (0.0, (0.0, 0.0))
+    # gamma J = -r: eps2, eps3, eps4, eps7 and eps9 all equal -r at B = 0,
+    # and eps4 (slope -2) is the ground level for every B > 0
+    p = ModelParams(R=1.0, gamma=-1.0, Dz=0.0)
+    eps = levels(p)[0]
+    assert _ground_set(p, 0.0) == {1, 2, 3, 6, 8}
+    assert np.max(np.abs(eps[[1, 2, 3, 6, 8]] + p.r)) < 1e-15
+    assert [cp.value for cp in detect_critical_field(p, b_max=2.0)] == [0.0]
+    # a scan limit below zero leaves nothing to scan
+    assert detect_critical_field(p, b_max=-1.0) == []
+
+
+@pytest.mark.parametrize("r", [0.3, 1.0, 1.25, 2.7])
+def test_critical_field_matches_closed_form(r):
+    p = ModelParams(R=r, gamma=1.0, Dz=1.0)
+    found = [cp.value for cp in detect_critical_field(p, b_max=2.0)]
+    expected = _field_crossings(p)
+    assert len(found) == len(expected) == 2
+    assert max(abs(a - b) for a, b in zip(found, expected)) < 1e-12
+
+
+def test_critical_field_takes_two_spectra(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p.B)
+        return levels(p)
+
+    monkeypatch.setattr(sweeps, "levels", counted)
+    assert len(detect_critical_field(ModelParams(R=1.0, Dz=1.0), b_max=2.0)) == 2
+    assert calls == [0.0, 1.0]
+
+
 @pytest.mark.parametrize("b_max", [float("nan"), float("inf")])
 def test_critical_field_rejects_non_finite_limit(b_max):
     with pytest.raises(ValueError, match="b_max must be finite"):
@@ -136,7 +211,6 @@ def test_critical_field_rejects_non_finite_limit(b_max):
 @pytest.mark.parametrize("kwargs, match", [
     ({"dz_max": float("nan")}, "dz_max must be finite"),
     ({"threshold": float("nan")}, "threshold must be finite"),
-    ({"resolution": 0.0}, "resolution must be positive"),
 ])
 def test_critical_dz_rejects_bad_scan_inputs(kwargs, match):
     with pytest.raises(ValueError, match=match):
