@@ -19,6 +19,7 @@ from .thermal import (  # noqa: F401
     gibbs_numeric,
     ground_state_mixture,
     partition_function,
+    thermal_point,
 )
 from .entanglement import (  # noqa: F401
     NegativityResult,

@@ -60,14 +60,15 @@ class _Parser(argparse.ArgumentParser):
             r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
-def _add_common(parser):
+def _add_common(parser, temperature=True):
     parser.add_argument("--R", type=float, default=None, help="HF coupling distance")
     parser.add_argument("--J", type=float, default=None,
                         help="direct exchange coupling (mutually exclusive with --R)")
     parser.add_argument("--B", type=float, default=None, help="uniform magnetic field")
     parser.add_argument("--Dz", type=float, default=None, help="z-axis DM strength")
     parser.add_argument("--gamma", type=float, default=None, help="anisotropy (default 1)")
-    parser.add_argument("--T", type=float, default=None, help="temperature (k_B = 1)")
+    if temperature:
+        parser.add_argument("--T", type=float, default=None, help="temperature (k_B = 1)")
     parser.add_argument("--config", default=None, help="JSON config file; flags override it")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
 
@@ -83,8 +84,9 @@ def build_parser():
 
     sp = sub.add_parser("spectrum", help="closed-form spectrum plus numeric cross-check")
     ng = sub.add_parser("negativity", help="thermal negativity at a single point")
+    _add_common(sp, temperature=False)
+    _add_common(ng)
     for point in (sp, ng):
-        _add_common(point)
         point.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sw = sub.add_parser("sweep", help="vary one parameter over a grid")
@@ -103,7 +105,8 @@ def build_parser():
     cr = sub.add_parser("critical", help="critical-point detection")
     _add_common(cr)
     cr.add_argument("--axis", required=True, choices=("B", "Dz"),
-                    help="B: T=0 ground-level crossings; Dz: negativity onset at --T")
+                    help="B: T=0 ground-level crossings (takes no --T); "
+                         "Dz: negativity onset at --T")
     cr.add_argument("--max", dest="axis_max", type=float, default=None,
                     help="scan limit (default 5 for B, 10 for Dz)")
     cr.add_argument("--threshold", type=float, default=ONSET_THRESHOLD,
@@ -125,15 +128,19 @@ def _load_config(path):
     return cfg
 
 
-def _resolve(args):
-    """Merge config file and flags into (ModelParams, T); flags win."""
+def _resolve(args, takes_t=True):
+    """Merge config file and flags into (ModelParams, T); flags win.  A
+    command that does not use a temperature rejects one from either."""
     cfg = _load_config(args.config) if args.config else {}
 
     def pick(key, default):
-        flag = getattr(args, key)
+        flag = getattr(args, key, None)
         if flag is not None:
             return flag
         return cfg.get(key, default)
+
+    if not takes_t and pick("T", None) is not None:
+        raise DomainError("a temperature was given, but this command does not use one")
 
     r_val, j_val = pick("R", None), pick("J", None)
     if r_val is not None and j_val is not None:
@@ -160,7 +167,7 @@ def _write(text, out):
 
 
 def _cmd_spectrum(args):
-    p, _ = _resolve(args)
+    p, _ = _resolve(args, takes_t=False)
     eps, _ = levels(p)
     numeric = hermitian_eig(hamiltonian_tensor(p)).eigenvalues
     gap = float(np.max(np.abs(np.sort(eps) - numeric)))
@@ -187,8 +194,6 @@ def _cmd_spectrum(args):
 
 def _cmd_negativity(args):
     p, t = _resolve(args)
-    if not t >= 0:
-        raise DomainError(f"temperature must be >= 0, got {t}")
     row = {"grid_param": "T", "grid_value": t, **_point(p, t)}
     if args.format == "json":
         _write(json_text(row), args.out)
@@ -221,14 +226,12 @@ def _cmd_figure(args):
 
 
 def _cmd_critical(args):
-    p, t = _resolve(args)
+    p, t = _resolve(args, takes_t=args.axis == "Dz")
     if args.axis == "B":
         b_max = args.axis_max if args.axis_max is not None else 5.0
         points = [asdict(cp) for cp in detect_critical_field(p, b_max=b_max)]
         _write(json.dumps(points, indent=2), args.out)
         return EXIT_OK
-    if not t > 0:
-        raise DomainError("--axis Dz requires a positive --T")
     dz_max = args.axis_max if args.axis_max is not None else 10.0
     try:
         cp = detect_critical_dz(p, t, dz_max=dz_max, threshold=args.threshold)

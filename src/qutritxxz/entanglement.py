@@ -9,15 +9,22 @@ H conserves M = m1 + m2, so every state the package builds is
 block-diagonal over the M sectors (sizes 1, 2, 3, 2, 1), and its partial
 transpose, for either subsystem, over the m1 - m2 sectors of the same
 sizes.  negativity takes both spectra block by block through
-sector_eigvalsh, which falls back to a dense solve for any other input.
+sector_eigvalsh, which falls back to a dense solve for any other input;
+it is the entry point for an arbitrary 9x9 state.
+
+The thermal states of the dimer have more structure: ten real numbers and
+the phase theta fix them, and theta drops out of the partial-transpose
+spectrum.  element_negativity takes the negativity from those ten numbers
+alone; it is what the sweeps, scans and the CLI run.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
-from .matkernel import is_hermitian, sector_eigvalsh
+from .matkernel import _jacobi_eigvals, is_hermitian, sector_eigvalsh
 
 #: PT eigenvalues in [-NEGATIVE_EIG_TOL, 0) are eigensolver noise, not entanglement
 NEGATIVE_EIG_TOL = 1e-12
@@ -87,6 +94,33 @@ def negativity(rho: np.ndarray, subsystem: Subsystem = "first") -> NegativityRes
     # an empty sum negated is -0.0; a separable state reports +0.0
     value = float(-neg.sum()) if neg.size else 0.0
     return NegativityResult(value=value, negative_eigenvalues=neg)
+
+
+def element_negativity(elements) -> float:
+    """Negativity of a dimer state given by its ten real elements
+    (r11, r22, r24, r33, r35, r37, r55, r66, r68, r99).
+
+    The state is the one gibbs and ground_state_mixture build: diagonal
+    (r11, r22, r33, r22, r55, r66, r33, r66, r99) with rho[1,3] = e1 r24,
+    rho[2,4] = rho[4,6] = e1 r35, rho[2,6] = e2 r37 and rho[5,7] = e1 r68,
+    where e1 = e^{i theta}, e2 = e1^2.  Its partial transpose has the
+    spectrum: r33 twice (m1 - m2 = +-2), the two eigenvalues of
+    [[r22, r35], [r35, r66]] each twice (m1 - m2 = +-1), and the three of
+    [[r11, r24, r37], [r24, r55, r68], [r37, r68, r99]] (m1 - m2 = 0).  The
+    phases are a diagonal unitary gauge of each block, so theta drops out.
+    Eigenvalues are counted and summed as in negativity.
+    """
+    r11, r22, r24, r33, r35, r37, r55, r66, r68, r99 = elements
+    trace = r11 + r55 + r99 + 2.0 * (r22 + r33 + r66)
+    if not abs(trace - 1.0) <= STATE_TOL:
+        raise InvalidState(f"trace is {trace}, expected 1")
+    mid = 0.5 * (r22 + r66)
+    rad = math.hypot(0.5 * (r22 - r66), r35)
+    w = [r33, r33, mid - rad, mid - rad, mid + rad, mid + rad]
+    w += _jacobi_eigvals([[r11, r24, r37], [r24, r55, r68], [r37, r68, r99]])
+    neg = sorted(x for x in w if x < -NEGATIVE_EIG_TOL)
+    # an empty sum would be the int 0; a separable state reports +0.0
+    return -sum(neg) if neg else 0.0
 
 
 def pure_state_negativity_oracle(coefficients: np.ndarray) -> float:

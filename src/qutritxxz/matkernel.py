@@ -141,8 +141,9 @@ def _off_sector_mask(sectors) -> np.ndarray:
 
 def _jacobi_eigvals(off: list) -> list:
     """Eigenvalues of a small Hermitian block, given as nested lists of
-    Python complex, by cyclic Jacobi on Python scalars.  Same target and
-    sweep cap as hermitian_eig.  The diagonal is tracked as real floats."""
+    Python complex (or float, for a real symmetric block, which then stays
+    real), by cyclic Jacobi on Python scalars.  Same target and sweep cap as
+    hermitian_eig.  The diagonal is tracked as real floats."""
     n = len(off)
     diag = [off[i][i].real for i in range(n)]
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
@@ -170,7 +171,7 @@ def _jacobi_eigvals(off: list) -> list:
             s = t * c
             diag[p] -= t * mag
             diag[q] += t * mag
-            off[p][q] = off[q][p] = 0j
+            off[p][q] = off[q][p] = 0.0
             # rows and columns p and q of R^H A R, kept Hermitian
             for k in range(n):
                 if k == p or k == q:

@@ -152,17 +152,13 @@ class AnalyticSpectrum:
         return np.sort(self.eps)
 
 
-def analytic_spectrum(p: ModelParams) -> AnalyticSpectrum:
-    gj, b = p.gamma * p.J, p.B
-    r, theta, degenerate = effective_coupling(p)
-    if degenerate:
-        raise DegenerateCoupling("r = 0: closed-form spectrum unavailable, use the numeric route")
-
+def closed_form_levels(gj: float, b: float, r: float):
+    """The nine levels eps1..eps9 as a tuple of floats, and chi1, chi2, for
+    gamma*J = gj, field b and r > 0.  They depend on (gj, r, b) only."""
     root = math.sqrt(gj * gj + 8.0 * r * r)
     chi1 = (root + gj) / r
     chi2 = (root - gj) / r
-
-    eps = np.array([
+    eps = (
         b + r,           # eps1
         b - r,           # eps2
         gj + 2 * b,      # eps3
@@ -172,7 +168,16 @@ def analytic_spectrum(p: ModelParams) -> AnalyticSpectrum:
         -b - r,          # eps7
         0.5 * r * chi2,  # eps8
         -0.5 * r * chi1,  # eps9 (sign-corrected: eps8 + eps9 = -gj)
-    ])
+    )
+    return eps, chi1, chi2
+
+
+def analytic_spectrum(p: ModelParams) -> AnalyticSpectrum:
+    r, theta, degenerate = effective_coupling(p)
+    if degenerate:
+        raise DegenerateCoupling("r = 0: closed-form spectrum unavailable, use the numeric route")
+    eps, chi1, chi2 = closed_form_levels(p.gamma * p.J, p.B, r)
+    eps = np.array(eps)
 
     e1 = np.exp(1j * theta)
     e2 = np.exp(2j * theta)

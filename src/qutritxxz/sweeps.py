@@ -2,9 +2,10 @@
 
 A sweep varies one of T, B, Dz, R over a uniform grid with everything
 else fixed, recording (J, r, theta, Z, ground energy, negativity) per
-point.  T = 0 grid points use the exact ground-level mixture, which makes
-the field-sweep entanglement plateaus sharp instead of smeared by a tiny
-temperature.
+point.  Every point, and every step of the Dz onset scan, comes from
+thermal.thermal_point, which builds no 9x9 matrix.  T = 0 grid points use
+the exact ground-level mixture, which makes the field-sweep entanglement
+plateaus sharp instead of smeared by a tiny temperature.
 The T = 0 critical fields, where those plateaus jump, are exact; the
 finite-T Dz onset is stepped and bisected.
 """
@@ -16,9 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .entanglement import negativity
 from .model import SIGN_CONVENTION_NOTE, ModelParams, effective_coupling
-from .thermal import GROUND_DEGENERACY_TOL, gibbs, ground_state_mixture, levels
+from .thermal import GROUND_DEGENERACY_TOL, inverse_temperature, levels, thermal_point
 
 CSV_COLUMNS = (
     "grid_param", "grid_value", "T", "B", "Dz", "R", "gamma",
@@ -71,8 +71,8 @@ class SweepSpec:
         if self.vary == "T" and not grid[0] > 0:
             raise ValueError(f"temperature grid must start at T > 0 after rounding to "
                              f"10 decimals, got start {self.start}")
-        if self.vary != "T" and not self.T >= 0:
-            raise ValueError(f"temperature must be >= 0, got {self.T}")
+        if self.vary != "T":
+            inverse_temperature(self.T, allow_zero=True)
 
     def grid(self) -> np.ndarray:
         # round away linspace's last-bit noise so grid values print cleanly
@@ -95,11 +95,11 @@ class CriticalPoint:
 
 def _point(p: ModelParams, T: float) -> dict:
     r, theta, _ = effective_coupling(p)
-    state = ground_state_mixture(p) if T == 0.0 else gibbs(p, T)
+    z, ground_energy, n = thermal_point(p, T)
     return {
         "T": T, "B": p.B, "Dz": p.Dz, "R": p.R, "gamma": p.gamma,
-        "J": p.J, "r": r, "theta": theta, "Z": state.Z,
-        "ground_energy": state.ground_energy, "negativity": negativity(state.rho).value,
+        "J": p.J, "r": r, "theta": theta, "Z": z,
+        "ground_energy": ground_energy, "negativity": n,
     }
 
 
@@ -188,13 +188,12 @@ def detect_critical_field(p: ModelParams, b_max: float = 5.0) -> list:
 def detect_critical_dz(p: ModelParams, T: float, dz_max: float = 10.0,
                        threshold: float = ONSET_THRESHOLD) -> CriticalPoint:
     """Smallest Dz >= 0 where negativity exceeds the onset threshold."""
-    if not T > 0:
-        raise ValueError(f"temperature must be positive, got {T}")
+    inverse_temperature(T)
     _check_finite("dz_max", dz_max)
     _check_finite("threshold", threshold)
 
     def n_at(dz):
-        return negativity(gibbs(replace(p, Dz=dz), T).rho).value
+        return thermal_point(replace(p, Dz=dz), T)[2]
 
     if n_at(0.0) > threshold:
         raise NoOnset(f"negativity already exceeds {threshold} at Dz = 0")

@@ -1,15 +1,21 @@
 """Gibbs state rho(T) = exp(-beta H)/Z and its T = 0 limit.
 
-Every state on the point path comes from the nine closed-form levels and
-their labelled eigenvectors (levels): gibbs_analytic assembles the
-closed-form matrix elements, and at r = 0, where H is diagonal in the
-product basis, gibbs and ground_state_mixture take the diagonal of the
-closed-form Hamiltonian with the basis vectors.  gibbs_numeric
+thermal_point is the point evaluator of sweeps, scans and the CLI: it
+returns (Z, ground energy, negativity) from the nine closed-form levels
+and the ten real elements of rho that its partial transpose is made of
+(entanglement.element_negativity), with no 9x9 matrix.  The states
+themselves come from the same levels and their labelled eigenvectors
+(levels): gibbs_analytic assembles the closed-form matrix elements, and
+at r = 0, where H is diagonal in the product basis, gibbs and
+ground_state_mixture take the diagonal of the closed-form Hamiltonian
+with the basis vectors.  They are the entry points for the state itself
+and the references the evaluator is checked against.  gibbs_numeric
 diagonalizes the tensor-product Hamiltonian with the Jacobi kernel; it is
 the independent reference that validate and the tests compare against,
 entrywise to 1e-10, which checks the closed forms (and the eps9 sign).
 Every route applies the spectral shift eps -> eps - eps_min before
-exponentiating, so arbitrarily low temperatures never overflow.
+exponentiating, so arbitrarily low temperatures never overflow, and takes
+beta from inverse_temperature, which rejects a T whose 1/T overflows.
 """
 
 import math
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entanglement import element_negativity
 from .matkernel import hermitian_eig
 from .model import (
     AnalyticSpectrum,
@@ -24,6 +31,7 @@ from .model import (
     DomainError,
     ModelParams,
     analytic_spectrum,
+    closed_form_levels,
     effective_coupling,
     hamiltonian_closed_form,
     hamiltonian_tensor,
@@ -43,6 +51,23 @@ class ThermalState:
     Z: float
     rho: np.ndarray
     ground_energy: float
+
+
+def inverse_temperature(T: float, allow_zero: bool = False) -> float:
+    """beta = 1/T; T = inf gives 0, and T = 0 gives inf where allowed.
+
+    DomainError for NaN, negative T, T = 0 unless allowed, and a positive T
+    so small that 1/T overflows (inf * 0 would make NaN Boltzmann weights).
+    """
+    T = float(T)
+    if allow_zero and T == 0.0:
+        return math.inf
+    if not T > 0:
+        raise DomainError(f"temperature must be {'>= 0' if allow_zero else 'positive'}, got {T}")
+    beta = 1.0 / T
+    if math.isinf(beta):
+        raise DomainError(f"temperature {T} is too small: 1/T overflows")
+    return beta
 
 
 def levels(p: ModelParams):
@@ -86,16 +111,17 @@ def partition_function(p: ModelParams, T: float) -> float:
 
 def gibbs_numeric(p: ModelParams, T: float) -> ThermalState:
     """exp(-beta H)/Z through the numeric eigensolver."""
-    if not T > 0:
-        raise DomainError(f"temperature must be positive, got {T}")
+    beta = inverse_temperature(T)
     dec = hermitian_eig(hamiltonian_tensor(p))
-    return _spectral_state(dec.eigenvalues, dec.eigenvectors, 1.0 / T)
+    return _spectral_state(dec.eigenvalues, dec.eigenvectors, beta)
 
 
-def _analytic_rho(spec: AnalyticSpectrum, theta: float, u: np.ndarray,
-                  zs: float) -> np.ndarray:
-    """Closed-form Eq.-style matrix elements, written as combinations of the
-    shifted Boltzmann weights u_i of the nine labeled levels (sum zs).
+def _rho_elements(chi1: float, chi2: float, u) -> tuple:
+    """The ten real elements (r11, r22, r24, r33, r35, r37, r55, r66, r68,
+    r99) of zs * rho for weights u_i of the nine labeled levels (sum zs):
+    the shifted Boltzmann weights, or at T = 0 the ground-level indicators.
+    Every other entry of rho is one of these, times a phase of theta
+    (see _analytic_rho), or zero.
 
     The hyperbolic forms of the published elements are recovered exactly,
     e.g. rho22*Z = e^{-bB} cosh(b r) = (u1 + u2)/2 up to the common shift,
@@ -103,20 +129,27 @@ def _analytic_rho(spec: AnalyticSpectrum, theta: float, u: np.ndarray,
     = 2 chi1 u8/(chi1^2+8) - 2 chi2 u9/(chi2^2+8) via chi1 chi2 = 8.
     """
     u1, u2, u3, u4, u5, u6, u7, u8, u9 = u
-    c1, c2 = spec.chi1, spec.chi2
-    d8 = c1 * c1 + 8.0
-    d9 = c2 * c2 + 8.0
+    d8 = chi1 * chi1 + 8.0
+    d9 = chi2 * chi2 + 8.0
+    return (
+        u3,                                               # r11
+        0.5 * (u1 + u2),                                  # r22
+        0.5 * (u1 - u2),                                  # r24
+        0.5 * u5 + 4.0 * u8 / d8 + 4.0 * u9 / d9,         # r33
+        2.0 * chi1 * u8 / d8 - 2.0 * chi2 * u9 / d9,      # r35
+        0.5 * (-u5 + 8.0 * u8 / d8 + 8.0 * u9 / d9),      # r37
+        chi1 * chi1 * u8 / d8 + chi2 * chi2 * u9 / d9,    # r55
+        0.5 * (u6 + u7),                                  # r66
+        0.5 * (u6 - u7),                                  # r68
+        u4,                                               # r99
+    )
 
-    r11 = u3
-    r22 = 0.5 * (u1 + u2)
-    r24 = 0.5 * (u1 - u2)
-    r33 = 0.5 * u5 + 4.0 * u8 / d8 + 4.0 * u9 / d9
-    r37 = 0.5 * (-u5 + 8.0 * u8 / d8 + 8.0 * u9 / d9)
-    r35 = 2.0 * c1 * u8 / d8 - 2.0 * c2 * u9 / d9
-    r55 = c1 * c1 * u8 / d8 + c2 * c2 * u9 / d9
-    r66 = 0.5 * (u6 + u7)
-    r68 = 0.5 * (u6 - u7)
-    r99 = u4
+
+def _analytic_rho(spec: AnalyticSpectrum, theta: float, u: np.ndarray,
+                  zs: float) -> np.ndarray:
+    """Closed-form Eq.-style matrix elements: the ten real elements of
+    _rho_elements with the phases e^{i theta} and e^{2i theta}."""
+    r11, r22, r24, r33, r35, r37, r55, r66, r68, r99 = _rho_elements(spec.chi1, spec.chi2, u)
 
     e1 = np.exp(1j * theta)
     e2 = np.exp(2j * theta)
@@ -134,12 +167,10 @@ def _analytic_rho(spec: AnalyticSpectrum, theta: float, u: np.ndarray,
 
 def gibbs_analytic(p: ModelParams, T: float) -> ThermalState:
     """exp(-beta H)/Z from the closed-form matrix elements."""
-    if not T > 0:
-        raise DomainError(f"temperature must be positive, got {T}")
+    beta = inverse_temperature(T)
     r, theta, degenerate = effective_coupling(p)
     if degenerate:
         raise DegenerateCoupling("r = 0: closed forms unavailable, use gibbs_numeric")
-    beta = 1.0 / T
     spec = analytic_spectrum(p)
     u, zs = _shifted_weights(spec.eps, beta)
     rho = _analytic_rho(spec, theta, u, zs)
@@ -158,7 +189,7 @@ def gibbs(p: ModelParams, T: float) -> ThermalState:
     try:
         return gibbs_analytic(p, T)
     except DegenerateCoupling:
-        return _spectral_state(*levels(p), 1.0 / T)
+        return _spectral_state(*levels(p), inverse_temperature(T))
 
 
 def ground_state_mixture(p: ModelParams) -> ThermalState:
@@ -172,3 +203,32 @@ def ground_state_mixture(p: ModelParams) -> ThermalState:
     v = vecs[:, ground]
     rho = (v @ v.conj().T) / g
     return ThermalState(beta=math.inf, Z=float(g), rho=rho, ground_energy=eps_min)
+
+
+def thermal_point(p: ModelParams, T: float) -> tuple:
+    """(Z, ground_energy, negativity) of gibbs(p, T), or at T = 0 of
+    ground_state_mixture(p), with no 9x9 matrix.
+
+    Z and ground_energy come from the same levels, in the same order, as in
+    those two routes, so they agree bit for bit.  The negativity comes from
+    the ten real elements of rho (element_negativity).  At r = 0, rho is
+    diagonal, so its partial transpose is rho itself and N = +0.0.
+    """
+    beta = inverse_temperature(T, allow_zero=True)
+    r, _, degenerate = effective_coupling(p)
+    if degenerate:
+        eps = levels(p)[0]
+    else:
+        eps, chi1, chi2 = closed_form_levels(p.gamma * p.J, p.B, r)
+        eps = np.array(eps)
+    eps_min = float(eps.min())
+    if beta == math.inf:
+        u = (eps - eps_min < GROUND_DEGENERACY_TOL).astype(float)
+        zs = Z = float(u.sum())
+    else:
+        u, zs = _shifted_weights(eps, beta)
+        Z = _unshifted_z(zs, beta, eps_min)
+    if degenerate:
+        return Z, eps_min, 0.0
+    elements = _rho_elements(chi1, chi2, u.tolist())
+    return Z, eps_min, element_negativity([x / zs for x in elements])

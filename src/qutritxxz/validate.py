@@ -6,6 +6,7 @@ check also records the residual against the published value 0.9616,
 which the closed-form ground state does not reproduce exactly.
 """
 
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -31,6 +32,7 @@ from .thermal import (
     gibbs_analytic,
     gibbs_numeric,
     ground_state_mixture,
+    thermal_point,
 )
 
 PAPER_HEADLINE_NEGATIVITY = 0.9616
@@ -150,6 +152,40 @@ def check_symmetries(n_draws=20, seed=11):
     ]
 
 
+def _same_invariants(p: ModelParams, k: float) -> ModelParams:
+    """Params with the same gamma*J, r = hypot(J, Dz) and B as p, but
+    J/k, gamma*k and Dz >= 0 (k >= 1, and k = -1 flips the signs of J and
+    gamma): N and Z depend on J and Dz only through gamma*J and r."""
+    j = p.J / k
+    return ModelParams(gamma=p.gamma * k, Dz=math.sqrt(max(p.r ** 2 - j * j, 0.0)),
+                       B=p.B, j_override=j)
+
+
+def check_invariants(n_draws=50, seed=20240906):
+    """Negativity and Z of pairs with equal (gamma*J, r, B, T): a random
+    point and one with the signs of J and gamma flipped, or J rescaled by
+    1/k and gamma by k with Dz = sqrt(r^2 - (J/k)^2).  N is compared through
+    thermal_point and through negativity(gibbs_numeric(...).rho), Z through
+    thermal_point, relative to its size."""
+    rng = np.random.default_rng(seed)
+    worst_n = worst_z = 0.0
+    for _ in range(n_draws):
+        p = _random_params(rng)
+        t = float(rng.uniform(0.05, 2.0))
+        q = _same_invariants(p, -1.0 if rng.random() < 0.5 else float(rng.uniform(1.0, 3.0)))
+        z_p, _, n_p = thermal_point(p, t)
+        z_q, _, n_q = thermal_point(q, t)
+        dense = [negativity(gibbs_numeric(x, t).rho).value for x in (p, q)]
+        worst_n = max(worst_n, abs(n_p - n_q), abs(dense[0] - dense[1]))
+        worst_z = max(worst_z, abs(z_p - z_q) / z_p)
+    return [
+        Check("negativity_invariant_in_gammaJ_r", worst_n < 1e-12, worst_n, 1e-12,
+              f"{n_draws} pairs, closed form and gibbs_numeric"),
+        Check("partition_function_invariant_in_gammaJ_r", worst_z < 1e-12, worst_z, 1e-12,
+              "relative"),
+    ]
+
+
 def check_oracle(seed=13):
     """Pure-state negativity oracle vs the partial-transpose pipeline on all
     nine closed-form eigenvectors, plus the PT involution."""
@@ -173,23 +209,28 @@ def check_oracle(seed=13):
 
 
 def check_negativity_routes(n_draws=100, seed=20240903):
-    """Block-by-block negativity vs dense Jacobi on the whole partial
-    transpose, for states from every route a sweep point can take: the
-    closed form, the numeric fallback at r = 0 and the T = 0 mixture."""
+    """Block-by-block negativity and the closed-form thermal_point vs dense
+    Jacobi on the whole partial transpose, for states from every route a
+    sweep point can take: the closed form, the numeric fallback at r = 0
+    and the T = 0 mixture."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst_sector = worst_point = 0.0
     for _ in range(n_draws):
         p = _random_params(rng)
         t = float(rng.uniform(0.01, 5.0))
-        states = (gibbs_analytic(p, t),
-                  gibbs_numeric(replace(p, Dz=0.0, j_override=0.0), t),
-                  ground_state_mixture(p))
-        for state in states:
+        r0 = replace(p, Dz=0.0, j_override=0.0)
+        cases = ((p, t, gibbs_analytic(p, t)),
+                 (r0, t, gibbs_numeric(r0, t)),
+                 (p, 0.0, ground_state_mixture(p)))
+        for params, temperature, state in cases:
             w = hermitian_eig(partial_transpose(state.rho)).eigenvalues
             dense = -float(w[w < -NEGATIVE_EIG_TOL].sum())
-            worst = max(worst, abs(negativity(state.rho).value - dense))
-    return [Check("negativity_sector_vs_dense", worst < 1e-12, worst, 1e-12,
-                  f"{n_draws} draws x 3 routes, T in [0.01, 5]")]
+            worst_sector = max(worst_sector, abs(negativity(state.rho).value - dense))
+            worst_point = max(worst_point, abs(thermal_point(params, temperature)[2] - dense))
+    return [Check("negativity_sector_vs_dense", worst_sector < 1e-12, worst_sector, 1e-12,
+                  f"{n_draws} draws x 3 routes, T in [0.01, 5]"),
+            Check("negativity_closed_form_vs_dense", worst_point < 1e-12, worst_point, 1e-12,
+                  f"thermal_point, {n_draws} draws at T > 0, r = 0 and T = 0")]
 
 
 def check_hf_maximum():
@@ -254,6 +295,7 @@ def validate(fast: bool = False) -> dict:
     checks += check_gibbs_routes(n_draws=40 if fast else 200)
     checks += check_ground_mixture(n_draws=20 if fast else 100)
     checks += check_symmetries(n_draws=5 if fast else 20)
+    checks += check_invariants(n_draws=10 if fast else 50)
     checks += check_oracle()
     checks += check_negativity_routes(n_draws=20 if fast else 100)
     checks += check_hf_maximum()

@@ -116,6 +116,39 @@ def test_flags_a_command_ignores_are_rejected(argv, tmp_path, monkeypatch, capsy
     assert not (tmp_path / "x.svg").exists()
 
 
+def test_spectrum_takes_no_temperature(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--R", "1", "--Dz", "1", "--T", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --T" in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"R": 1.0, "T": 3.0}))
+    assert main(["spectrum", "--config", str(cfg)]) == 2
+    assert "does not use one" in capsys.readouterr().err
+
+
+def test_critical_field_takes_no_temperature(tmp_path, capsys):
+    # the crossings are T = 0 properties: a temperature would be ignored
+    assert main(["critical", "--axis", "B", "--R", "1", "--Dz", "1", "--T", "7"]) == 2
+    assert "does not use one" in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"R": 1.0, "Dz": 1.0, "T": 7.0}))
+    assert main(["critical", "--axis", "B", "--config", str(cfg)]) == 2
+    assert main(["critical", "--axis", "Dz", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["negativity", "--R", "0.5", "--Dz", "1", "--T", "1e-309"],
+    ["sweep", "--vary", "B", "--from", "0", "--to", "1", "--steps", "3", "--T", "1e-320"],
+    ["critical", "--axis", "Dz", "--R", "0.3", "--B", "0.5", "--T", "5e-324"],
+], ids=["negativity", "sweep", "critical-Dz"])
+def test_subnormal_temperature_exits_2_without_warnings(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert "1/T overflows" in capsys.readouterr().err
+
+
 def test_critical_dz(capsys):
     assert main(["critical", "--axis", "Dz", "--R", "0.5", "--B", "0.5",
                  "--T", "0.08"]) == 0

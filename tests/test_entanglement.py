@@ -7,6 +7,7 @@ from qutritxxz.cli import main
 from qutritxxz.entanglement import (
     InvalidState,
     UnsupportedStructure,
+    element_negativity,
     negativity,
     partial_transpose,
     pure_state_negativity_oracle,
@@ -243,3 +244,49 @@ def test_library_path_calls_no_lapack_eigenroutine(monkeypatch, capsys):
     assert len(figure_preset("fig4c")) == 1
     assert main(["negativity", "--R", "0.5", "--Dz", "1", "--T", "0.04"]) == 0
     assert validate(fast=True)["passed"]
+
+
+def _state_from_elements(el, theta):
+    """The 9x9 state of element_negativity's form, with phase theta."""
+    r11, r22, r24, r33, r35, r37, r55, r66, r68, r99 = el
+    e1 = np.exp(1j * theta)
+    rho = np.diag([r11, r22, r33, r22, r55, r66, r33, r66, r99]).astype(complex)
+    for (i, k), v in {(1, 3): e1 * r24, (2, 4): e1 * r35, (2, 6): e1 * e1 * r37,
+                      (4, 6): e1 * r35, (5, 7): e1 * r68}.items():
+        rho[i, k], rho[k, i] = v, np.conj(v)
+    return rho
+
+
+def test_element_negativity_maximally_entangled():
+    # (|-1,1> + |0,0> + |1,-1>)/sqrt(3): 2x2 blocks +-1/3 (each twice) and a
+    # 3x3 block with eigenvalues 1/3, 1/3, -1/3 give N = 2/3 + 1/3
+    third = 1.0 / 3.0
+    el = (0.0, 0.0, 0.0, third, third, third, third, 0.0, 0.0, 0.0)
+    assert element_negativity(el) == pytest.approx(1.0, abs=1e-15)
+    for theta in (0.0, 0.7, -2.9):
+        assert negativity(_state_from_elements(el, theta)).value == pytest.approx(1.0, abs=1e-15)
+
+
+def test_element_negativity_matches_pipeline_on_thermal_states(rng):
+    # the elements of a closed-form Gibbs state, read back from its matrix
+    for _ in range(20):
+        p = random_params(rng)
+        rho = gibbs_analytic(p, float(rng.uniform(0.02, 3.0))).rho
+        e1 = np.exp(1j * p.theta)
+        el = [rho[0, 0].real, rho[1, 1].real, (rho[1, 3] / e1).real, rho[2, 2].real,
+              (rho[2, 4] / e1).real, (rho[2, 6] / e1 ** 2).real, rho[4, 4].real,
+              rho[5, 5].real, (rho[5, 7] / e1).real, rho[8, 8].real]
+        assert np.max(np.abs(_state_from_elements(el, p.theta) - rho)) < 1e-15
+        assert element_negativity(el) == pytest.approx(negativity(rho).value, abs=1e-14)
+
+
+def test_element_negativity_checks_the_trace():
+    third = 1.0 / 3.0
+    with pytest.raises(InvalidState, match="trace"):
+        element_negativity((0.0, 0.0, 0.0, third, third, third, 0.5, 0.0, 0.0, 0.0))
+    with pytest.raises(InvalidState, match="trace"):
+        element_negativity((math.nan, 0.0, 0.0, third, third, third, third, 0.0, 0.0, 0.0))
+    # separable: +0.0, not -0.0
+    n = element_negativity((1.0 / 9,) * 2 + (0.0,) + (1.0 / 9,) + (0.0, 0.0)
+                           + (1.0 / 9,) * 2 + (0.0, 1.0 / 9))
+    assert n == 0.0 and str(n) == "0.0"

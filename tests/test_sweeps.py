@@ -9,8 +9,8 @@ import pytest
 from conftest import random_params
 from hypothesis import given, settings, strategies as st
 
-from qutritxxz import cli, matkernel, model, sweeps, thermal
-from qutritxxz.model import ModelParams
+from qutritxxz import cli, entanglement, matkernel, model, sweeps, thermal
+from qutritxxz.model import DomainError, ModelParams
 from qutritxxz.output import emit_csv, emit_svg
 from qutritxxz.sweeps import (
     CSV_COLUMNS,
@@ -53,12 +53,14 @@ def test_grid_collision_after_rounding_rejected(vary, start, stop):
 
 
 def test_temperature_checks_reject_nan():
-    for t in (float("nan"), -1.0):
-        with pytest.raises(ValueError):
+    # a subnormal T has 1/T = inf, which would make NaN Boltzmann weights
+    for t in (float("nan"), -1.0, 1e-309, 5e-324):
+        with pytest.raises(DomainError):
             SweepSpec(vary="B", start=0.0, stop=1.0, steps=3, T=t)
     assert SweepSpec(vary="B", start=0.0, stop=1.0, steps=3, T=0.0).T == 0.0
-    with pytest.raises(ValueError):
-        detect_critical_dz(ModelParams(R=0.5, B=0.5), T=float("nan"))
+    for t in (float("nan"), 1e-320):
+        with pytest.raises(DomainError):
+            detect_critical_dz(ModelParams(R=0.5, B=0.5), T=t)
 
 
 def test_run_sweep_t_monotone_decay():
@@ -311,13 +313,18 @@ def test_emit_svg(tmp_path):
 
 def test_point_path_runs_no_dense_solver(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
-        raise AssertionError("dense solver or tensor Hamiltonian on the point path")
+        raise AssertionError("9x9 state, dense solver or tensor Hamiltonian on the point path")
 
-    for module in (matkernel, model, thermal, sweeps, cli):
-        for name in ("hermitian_eig", "hamiltonian_tensor"):
+    for module in (matkernel, model, thermal, entanglement, sweeps, cli):
+        for name in ("hermitian_eig", "hamiltonian_tensor", "negativity", "partial_transpose",
+                     "sector_eigvalsh", "gibbs", "gibbs_analytic", "gibbs_numeric",
+                     "ground_state_mixture"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
+    assert [len(res.rows) for res in figure_preset("fig3a")] == [161] * 4
     assert len(figure_preset("fig4c")[0].rows) == 161
+    assert detect_critical_dz(ModelParams(R=0.3, B=0.5), T=0.08).kind == "NegativityOnset"
+    assert cli.main(["negativity", "--R", "0.5", "--Dz", "1", "--B", "0.3", "--T", "0.5"]) == 0
     r0 = ModelParams(Dz=0.0, j_override=0.0)
     for t in (0.5, 0.0):
         rows = run_sweep(SweepSpec(vary="B", start=-1.0, stop=1.0, steps=5,

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qutritxxz.entanglement import NEGATIVE_EIG_TOL, negativity, partial_transpose
 from qutritxxz.matkernel import hermitian_eig
 from qutritxxz.model import (
     DegenerateCoupling,
@@ -11,12 +14,14 @@ from qutritxxz.model import (
     hamiltonian_tensor,
 )
 from qutritxxz.thermal import (
+    GROUND_DEGENERACY_TOL,
     gibbs,
     gibbs_analytic,
     gibbs_numeric,
     ground_state_mixture,
     levels,
     partition_function,
+    thermal_point,
 )
 
 from conftest import random_params
@@ -217,3 +222,97 @@ def test_ground_energy_is_the_lowest_level(rng):
         for state in (gibbs(p, 0.3), gibbs_analytic(p, 0.3), ground_state_mixture(p)):
             assert state.ground_energy == eps_min
         assert gibbs_numeric(p, 0.3).ground_energy == pytest.approx(eps_min, abs=1e-12)
+
+
+def _dense_point(p, T):
+    """(Z, ground energy, negativity) by the dense route: the Jacobi
+    eigendecomposition of the tensor Hamiltonian (its ground-level projector
+    at T = 0) and dense Jacobi on the whole partial transpose."""
+    dec = hermitian_eig(hamiltonian_tensor(p))
+    w, v = dec.eigenvalues, dec.eigenvectors
+    if T == 0.0:
+        g = v[:, w - w[0] < GROUND_DEGENERACY_TOL]
+        z, rho = float(g.shape[1]), (g @ g.conj().T) / g.shape[1]
+    else:
+        state = gibbs_numeric(p, T)
+        z, rho = state.Z, state.rho
+    pt = hermitian_eig(partial_transpose(rho)).eigenvalues
+    return z, float(w[0]), float(-pt[pt < -NEGATIVE_EIG_TOL].sum())
+
+
+point_strategy = st.tuples(
+    st.sampled_from(["random", "T=0", "r=0", "T=inf", "tiny r", "high T"]),
+    st.floats(0.05, 6.0), st.floats(-2.0, 2.0), st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0), st.floats(0.01, 5.0), st.floats(-9.0, -5.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_strategy)
+def test_thermal_point_matches_dense_route(draw):
+    kind, R, gamma, Dz, B, T, e = draw
+    p = ModelParams(R=R, gamma=gamma, Dz=Dz, B=B)
+    if kind == "T=0":
+        T = 0.0
+    elif kind == "r=0":
+        p = ModelParams(gamma=gamma, Dz=0.0, B=B, j_override=0.0)
+    elif kind == "T=inf":
+        T = float("inf")
+    elif kind == "tiny r":
+        # off-diagonals of the 3x3 block far below its diagonal: the Jacobi
+        # guards must skip them without overflow or division warnings
+        p = ModelParams(gamma=gamma, Dz=10.0 ** e * np.sign(Dz), B=B, j_override=10.0 ** e)
+    elif kind == "high T":
+        # rho close to 1/9: a nearly threefold-degenerate 3x3 block
+        T = 10.0 ** -e
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, ground_energy, n = thermal_point(p, T)
+    z_ref, ground_ref, n_ref = _dense_point(p, T)
+    assert n == pytest.approx(n_ref, abs=1e-12)
+    assert z == pytest.approx(z_ref, rel=1e-12)
+    assert ground_energy == pytest.approx(ground_ref, abs=1e-12)
+    assert n >= 0.0 and str(n)[0] != "-"
+
+
+def test_thermal_point_z_and_ground_energy_are_those_of_the_state_routes(rng):
+    # bit for bit: the CSV columns Z and ground_energy must not change
+    for i in range(40):
+        p = random_params(rng)
+        if i % 4 == 0:
+            p = ModelParams(gamma=p.gamma, Dz=0.0, B=p.B, j_override=0.0)
+        t = float(rng.uniform(0.01, 5.0))
+        for T, state in ((t, gibbs(p, t)), (0.0, ground_state_mixture(p))):
+            z, ground_energy, n = thermal_point(p, T)
+            assert (z, ground_energy) == (state.Z, state.ground_energy)
+            assert n == pytest.approx(negativity(state.rho).value, abs=1e-14)
+
+
+def test_thermal_point_at_r0_is_separable_positive_zero():
+    for T in (0.0, 0.3, float("inf")):
+        n = thermal_point(ModelParams(Dz=0.0, B=0.4, j_override=0.0), T)[2]
+        assert n == 0.0 and str(n) == "0.0"
+
+
+@pytest.mark.parametrize("T", [float("nan"), -1.0, -0.0 - 1e-300, 1e-309, 5e-324])
+def test_thermal_point_rejects_bad_temperatures(T):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            thermal_point(P_REF, T)
+
+
+@pytest.mark.parametrize("route", [partition_function, gibbs, gibbs_analytic, gibbs_numeric])
+@pytest.mark.parametrize("T", [1e-309, 1e-320, 5e-324])
+def test_temperature_with_overflowing_reciprocal_rejected(route, T):
+    # 1/T is inf there, and inf * 0 would turn a Boltzmann weight into NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="1/T overflows"):
+            route(P_REF, T)
+        with pytest.raises(DomainError, match="1/T overflows"):
+            gibbs(ModelParams(Dz=0.0, j_override=0.0), T)
+    # a tiny T whose reciprocal is finite still works: Z overflows to inf,
+    # and the state is the ground-state limit
+    z, *rest = thermal_point(P_REF, 1e-300)
+    assert z == float("inf") and rest == list(thermal_point(P_REF, 0.0)[1:])
