@@ -24,7 +24,7 @@ from typing import Literal
 
 import numpy as np
 
-from .matkernel import _jacobi_eigvals, is_hermitian, sector_eigvalsh
+from .matkernel import _jacobi, is_hermitian, sector_eigvalsh
 
 #: PT eigenvalues in [-NEGATIVE_EIG_TOL, 0) are eigensolver noise, not entanglement
 NEGATIVE_EIG_TOL = 1e-12
@@ -117,7 +117,7 @@ def element_negativity(elements) -> float:
     mid = 0.5 * (r22 + r66)
     rad = math.hypot(0.5 * (r22 - r66), r35)
     w = [r33, r33, mid - rad, mid - rad, mid + rad, mid + rad]
-    w += _jacobi_eigvals([[r11, r24, r37], [r24, r55, r68], [r37, r68, r99]])
+    w += _jacobi([[r11, r24, r37], [r24, r55, r68], [r37, r68, r99]])
     neg = sorted(x for x in w if x < -NEGATIVE_EIG_TOL)
     # an empty sum would be the int 0; a separable state reports +0.0
     return -sum(neg) if neg else 0.0

@@ -1,10 +1,13 @@
 """Dense complex linear algebra for small Hermitian problems.
 
-Matrices are plain numpy complex128 arrays.  The eigensolver is a cyclic
-Jacobi iteration with unitary 2x2 rotations, which is robust and exact
-enough (off-diagonal norm driven below 1e-14 * ||A||) for the 9x9
-problems this package cares about.  numpy is used only as the array
-carrier; no lapack eigenroutine is called.
+Matrices are plain numpy complex128 arrays.  There is one eigensolver,
+_jacobi: cyclic Jacobi with unitary 2x2 rotations on Python scalars, which
+is robust and exact enough (off-diagonal norm driven below 1e-14 * ||A||)
+for the 9x9 problems this package cares about.  hermitian_eig runs it with
+the eigenvectors accumulated; sector_eigvalsh and the negativity of the
+thermal states run it for eigenvalues alone.  numpy is used only as the
+array carrier; no lapack eigenroutine is called, and the tests alone hold
+the kernel to numpy's LAPACK eigvalsh.
 
 sector_eigvalsh takes the eigenvalues of a matrix that is block-diagonal
 over given index sectors block by block, which is what the conserved
@@ -61,70 +64,6 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def _jacobi_rotation(app, aqq, apq):
-    """Unitary 2x2 rotation (c, s*phase) annihilating the (p, q) entry.
-
-    For the Hermitian block [[app, apq], [conj(apq), aqq]] returns c real,
-    s real and the unit phase of apq; the rotation columns are
-    (c, -s*conj(phase)) and (s*phase, c).
-    """
-    mag = abs(apq)
-    phase = apq / mag
-    tau = (aqq - app).real / (2.0 * mag)
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.hypot(1.0, tau))
-    else:
-        t = -1.0 / (-tau + np.hypot(1.0, tau))
-    c = 1.0 / np.hypot(1.0, t)
-    return c, t * c, phase
-
-
-def _offdiag_norm(a) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def hermitian_eig(h) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi."""
-    a = asmatrix(h)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1] or not is_hermitian(a):
-        raise NotHermitian(f"matrix of shape {a.shape} is not Hermitian within {HERMITICITY_ATOL}")
-
-    a = a.copy()
-    v = np.eye(n, dtype=complex)
-    norm = float(np.linalg.norm(a))
-    # zero matrix (or numerically zero): nothing to rotate
-    target = max(JACOBI_RELTOL * norm, 1e-300)
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) <= target:
-            break
-        # rotating entries much smaller than the target norm is wasted work
-        thresh = max(_offdiag_norm(a) / n, target / n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) < 0.1 * thresh:
-                    continue
-                c, s, phase = _jacobi_rotation(a[p, p], a[q, q], a[p, q])
-                r = np.eye(n, dtype=complex)
-                r[p, p] = c
-                r[q, q] = c
-                r[p, q] = s * phase
-                r[q, p] = -s * np.conj(phase)
-                a = r.conj().T @ a @ r
-                v = v @ r
-    else:
-        raise NoConvergence(
-            f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps "
-            f"(off-diagonal norm {_offdiag_norm(a):.3e}, target {target:.3e})"
-        )
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return EigenDecomposition(eigenvalues=w[order], eigenvectors=v[:, order])
-
-
 @lru_cache(maxsize=None)
 def _off_sector_mask(sectors) -> np.ndarray:
     """True at every entry outside the diagonal blocks of `sectors`, which
@@ -139,11 +78,21 @@ def _off_sector_mask(sectors) -> np.ndarray:
     return mask
 
 
-def _jacobi_eigvals(off: list) -> list:
-    """Eigenvalues of a small Hermitian block, given as nested lists of
-    Python complex (or float, for a real symmetric block, which then stays
-    real), by cyclic Jacobi on Python scalars.  Same target and sweep cap as
-    hermitian_eig.  The diagonal is tracked as real floats."""
+def _jacobi(off: list, cols: list = None) -> list:
+    """Eigenvalues, unsorted, of a small Hermitian matrix given as nested
+    lists of Python complex (or float, for a real symmetric matrix, which
+    then stays real), by cyclic Jacobi on Python scalars (Golub & Van Loan,
+    Matrix Computations, 8.5).
+
+    Each rotation is the unitary 2x2 (c, s*phase) that annihilates the
+    (p, q) entry; entries below a tenth of the mean off-diagonal size are
+    skipped.  The sweeps stop once the off-diagonal Frobenius norm is below
+    JACOBI_RELTOL * ||A||_F, at most JACOBI_MAX_SWEEPS of them.  The
+    diagonal is tracked as real floats and `off` is overwritten.  `cols`,
+    the columns of a matrix V as lists, gets the same rotations, so when it
+    starts as the identity, cols[k] ends as the unit eigenvector of the k-th
+    value returned.
+    """
     n = len(off)
     diag = [off[i][i].real for i in range(n)]
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
@@ -181,11 +130,31 @@ def _jacobi_eigvals(off: list) -> list:
                 off[k][q] = s * phase * akp + c * akq
                 off[p][k] = off[k][p].conjugate()
                 off[q][k] = off[k][q].conjugate()
+            if cols is not None:
+                # columns p and q of V R
+                sp, sc = s * phase, s * phase.conjugate()
+                vp, vq = cols[p], cols[q]
+                cols[p] = [c * x - sc * y for x, y in zip(vp, vq)]
+                cols[q] = [sp * x + c * y for x, y in zip(vp, vq)]
         off2 = 2.0 * sum(abs(off[p][q]) ** 2 for p, q in pairs)
     raise NoConvergence(
         f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps on a "
-        f"{n}x{n} block (off-diagonal norm {math.sqrt(off2):.3e}, target {target:.3e})"
+        f"{n}x{n} matrix (off-diagonal norm {math.sqrt(off2):.3e}, target {target:.3e})"
     )
+
+
+def hermitian_eig(h) -> EigenDecomposition:
+    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi
+    (_jacobi with the eigenvectors accumulated from the identity), in
+    stable ascending order.  The input is not modified; the eigenvectors
+    are complex and unitary, and the identity for a zero matrix."""
+    a = asmatrix(h)
+    if a.shape[0] != a.shape[1] or not is_hermitian(a):
+        raise NotHermitian(f"matrix of shape {a.shape} is not Hermitian within {HERMITICITY_ATOL}")
+    cols = np.eye(a.shape[0], dtype=complex).tolist()
+    w = np.array(_jacobi(a.tolist(), cols))
+    order = np.argsort(w, kind="stable")
+    return EigenDecomposition(eigenvalues=w[order], eigenvectors=np.array(cols).T[:, order])
 
 
 def sector_eigvalsh(a, sectors) -> np.ndarray:
@@ -195,8 +164,8 @@ def sector_eigvalsh(a, sectors) -> np.ndarray:
     every entry outside those diagonal blocks is exactly 0.0, the spectrum
     is the union of the block spectra: a 1x1 block is its diagonal entry,
     a 2x2 block has the closed form m +- hypot((a - b)/2, |c|), and a
-    larger block goes through cyclic Jacobi on Python scalars.  Any other
-    matrix goes whole to hermitian_eig.
+    larger block goes through _jacobi, with no eigenvectors.  Any other
+    matrix is taken as one block.
     """
     a = asmatrix(a)
     if a.shape[0] != a.shape[1] or not is_hermitian(a):
@@ -205,7 +174,7 @@ def sector_eigvalsh(a, sectors) -> np.ndarray:
     if mask.shape != a.shape:
         raise ValueError(f"sectors cover {mask.shape[0]} indices, matrix has shape {a.shape}")
     if a[mask].any():
-        return hermitian_eig(a).eigenvalues
+        sectors = (tuple(range(a.shape[0])),)
 
     rows = a.tolist()
     w = []
@@ -220,6 +189,6 @@ def sector_eigvalsh(a, sectors) -> np.ndarray:
             rad = math.hypot(0.5 * (x - y), abs(rows[i][j]))
             w += [mid - rad, mid + rad]
         else:
-            w += _jacobi_eigvals([[rows[i][j] for j in block] for i in block])
+            w += _jacobi([[rows[i][j] for j in block] for i in block])
     w.sort()
     return np.array(w)

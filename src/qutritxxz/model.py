@@ -31,6 +31,19 @@ SPIN_Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) * _S2
 SPIN_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
 IDENTITY3 = np.eye(3, dtype=complex)
 
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+#: the two-site operators of H, built once: J multiplies XX+YY and gamma*J
+#: multiplies ZZ, Dz multiplies XY-YX and B multiplies Z(x)1+1(x)Z
+XX_PLUS_YY = _read_only(kron(SPIN_X, SPIN_X) + kron(SPIN_Y, SPIN_Y))
+ZZ = _read_only(kron(SPIN_Z, SPIN_Z))
+XY_MINUS_YX = _read_only(kron(SPIN_X, SPIN_Y) - kron(SPIN_Y, SPIN_X))
+Z_TOTAL = _read_only(kron(SPIN_Z, IDENTITY3) + kron(IDENTITY3, SPIN_Z))
+
 #: basis labels in matrix order, index = 3*(m1+1) + (m2+1)
 BASIS_LABELS = tuple(f"|{m1},{m2}>" for m1 in (-1, 0, 1) for m2 in (-1, 0, 1))
 
@@ -114,11 +127,11 @@ def effective_coupling(p: ModelParams) -> EffectiveCoupling:
 
 
 def hamiltonian_tensor(p: ModelParams) -> np.ndarray:
-    """Hamiltonian assembled from Kronecker products of the spin-1 matrices."""
-    j, g = p.J, p.gamma
-    h = j * (kron(SPIN_X, SPIN_X) + kron(SPIN_Y, SPIN_Y) + g * kron(SPIN_Z, SPIN_Z))
-    h += p.Dz * (kron(SPIN_X, SPIN_Y) - kron(SPIN_Y, SPIN_X))
-    h += p.B * (kron(SPIN_Z, IDENTITY3) + kron(IDENTITY3, SPIN_Z))
+    """Hamiltonian assembled from the Kronecker products of the spin-1
+    matrices (the module-level two-site operators)."""
+    h = p.J * (XX_PLUS_YY + p.gamma * ZZ)
+    h += p.Dz * XY_MINUS_YX
+    h += p.B * Z_TOTAL
     return h
 
 

@@ -4,9 +4,10 @@ thermal_point is the point evaluator of sweeps, scans and the CLI: it
 returns (Z, ground energy, negativity) from the nine closed-form levels
 and the ten real elements of rho that its partial transpose is made of
 (entanglement.element_negativity), with no 9x9 matrix.  The states
-themselves come from the same levels and their labelled eigenvectors
-(levels): gibbs_analytic assembles the closed-form matrix elements, and
-at r = 0, where H is diagonal in the product basis, gibbs and
+themselves come from the same levels: gibbs_analytic assembles the
+closed-form matrix elements from them and chi1, chi2;
+ground_state_mixture takes the labelled eigenvectors (levels); and at
+r = 0, where H is diagonal in the product basis, gibbs and
 ground_state_mixture take the diagonal of the closed-form Hamiltonian
 with the basis vectors.  They are the entry points for the state itself
 and the references the evaluator is checked against.  gibbs_numeric
@@ -14,8 +15,9 @@ diagonalizes the tensor-product Hamiltonian with the Jacobi kernel; it is
 the independent reference that validate and the tests compare against,
 entrywise to 1e-10, which checks the closed forms (and the eps9 sign).
 Every route applies the spectral shift eps -> eps - eps_min before
-exponentiating, so arbitrarily low temperatures never overflow, and takes
-beta from inverse_temperature, which rejects a T whose 1/T overflows.
+exponentiating, so arbitrarily low temperatures never overflow (a weight
+whose exponent overflows is exactly 0), and takes beta from
+inverse_temperature, which rejects a T whose 1/T overflows.
 """
 
 import math
@@ -26,7 +28,6 @@ import numpy as np
 from .entanglement import element_negativity
 from .matkernel import hermitian_eig
 from .model import (
-    AnalyticSpectrum,
     DegenerateCoupling,
     DomainError,
     ModelParams,
@@ -83,9 +84,18 @@ def levels(p: ModelParams):
 
 
 def _shifted_weights(eps: np.ndarray, beta: float):
-    """Boltzmann weights exp(-beta (eps - eps_min)) and their sum."""
-    u = np.exp(-beta * (eps - eps.min()))
-    return u, float(u.sum())
+    """Boltzmann weights exp(-beta (eps - eps_min)), their sum and eps_min."""
+    values = eps.tolist()
+    eps_min = min(values)
+    x = eps - eps_min
+    if math.isinf(beta * (max(values) - eps_min)):
+        # at a tiny T, beta times a level gap overflows to +inf, and
+        # exp(-inf) = 0 is then the exact weight: the overflow is no error
+        with np.errstate(over="ignore"):
+            u = np.exp(-beta * x)
+    else:
+        u = np.exp(-beta * x)
+    return u, float(u.sum()), eps_min
 
 
 def _unshifted_z(zs: float, beta: float, eps_min: float) -> float:
@@ -97,8 +107,7 @@ def _unshifted_z(zs: float, beta: float, eps_min: float) -> float:
 
 def _spectral_state(eps: np.ndarray, vecs: np.ndarray, beta: float) -> ThermalState:
     """exp(-beta H)/Z from the levels of H and their unit eigenvectors."""
-    u, zs = _shifted_weights(eps, beta)
-    eps_min = float(eps.min())
+    u, zs, eps_min = _shifted_weights(eps, beta)
     rho = (vecs * (u / zs)) @ vecs.conj().T
     return ThermalState(beta=beta, Z=_unshifted_z(zs, beta, eps_min), rho=rho,
                         ground_energy=eps_min)
@@ -145,11 +154,11 @@ def _rho_elements(chi1: float, chi2: float, u) -> tuple:
     )
 
 
-def _analytic_rho(spec: AnalyticSpectrum, theta: float, u: np.ndarray,
+def _analytic_rho(chi1: float, chi2: float, theta: float, u: np.ndarray,
                   zs: float) -> np.ndarray:
     """Closed-form Eq.-style matrix elements: the ten real elements of
     _rho_elements with the phases e^{i theta} and e^{2i theta}."""
-    r11, r22, r24, r33, r35, r37, r55, r66, r68, r99 = _rho_elements(spec.chi1, spec.chi2, u)
+    r11, r22, r24, r33, r35, r37, r55, r66, r68, r99 = _rho_elements(chi1, chi2, u)
 
     e1 = np.exp(1j * theta)
     e2 = np.exp(2j * theta)
@@ -171,10 +180,9 @@ def gibbs_analytic(p: ModelParams, T: float) -> ThermalState:
     r, theta, degenerate = effective_coupling(p)
     if degenerate:
         raise DegenerateCoupling("r = 0: closed forms unavailable, use gibbs_numeric")
-    spec = analytic_spectrum(p)
-    u, zs = _shifted_weights(spec.eps, beta)
-    rho = _analytic_rho(spec, theta, u, zs)
-    eps_min = float(spec.eps.min())
+    eps, chi1, chi2 = closed_form_levels(p.gamma * p.J, p.B, r)
+    u, zs, eps_min = _shifted_weights(np.array(eps), beta)
+    rho = _analytic_rho(chi1, chi2, theta, u, zs)
     return ThermalState(beta=beta, Z=_unshifted_z(zs, beta, eps_min), rho=rho,
                         ground_energy=eps_min)
 
@@ -226,7 +234,7 @@ def thermal_point(p: ModelParams, T: float) -> tuple:
         u = (eps - eps_min < GROUND_DEGENERACY_TOL).astype(float)
         zs = Z = float(u.sum())
     else:
-        u, zs = _shifted_weights(eps, beta)
+        u, zs, _ = _shifted_weights(eps, beta)
         Z = _unshifted_z(zs, beta, eps_min)
     if degenerate:
         return Z, eps_min, 0.0

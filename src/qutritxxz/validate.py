@@ -287,22 +287,30 @@ def check_critical_field():
 
 
 def validate(fast: bool = False) -> dict:
-    """Run every check and return a machine-readable report."""
+    """Run every check and return a machine-readable report, with the
+    seconds each check function took under "timings"."""
     t0 = time.perf_counter()
-    checks = []
-    checks += check_spectrum(n_draws=100 if fast else 1000)
-    checks += check_hamiltonian_routes(n_draws=20 if fast else 100)
-    checks += check_gibbs_routes(n_draws=40 if fast else 200)
-    checks += check_ground_mixture(n_draws=20 if fast else 100)
-    checks += check_symmetries(n_draws=5 if fast else 20)
-    checks += check_invariants(n_draws=10 if fast else 50)
-    checks += check_oracle()
-    checks += check_negativity_routes(n_draws=20 if fast else 100)
-    checks += check_hf_maximum()
-    checks += check_headline()
-    checks += check_critical_field()
+    runs = [
+        (check_spectrum, {"n_draws": 100 if fast else 1000}),
+        (check_hamiltonian_routes, {"n_draws": 20 if fast else 100}),
+        (check_gibbs_routes, {"n_draws": 40 if fast else 200}),
+        (check_ground_mixture, {"n_draws": 20 if fast else 100}),
+        (check_symmetries, {"n_draws": 5 if fast else 20}),
+        (check_invariants, {"n_draws": 10 if fast else 50}),
+        (check_oracle, {}),
+        (check_negativity_routes, {"n_draws": 20 if fast else 100}),
+        (check_hf_maximum, {}),
+        (check_headline, {}),
+        (check_critical_field, {}),
+    ]
+    checks, timings = [], {}
+    for check, kwargs in runs:
+        start = time.perf_counter()
+        checks += check(**kwargs)
+        timings[check.__name__] = time.perf_counter() - start
     return {
         "passed": all(c.passed for c in checks),
         "elapsed_seconds": time.perf_counter() - t0,
+        "timings": timings,
         "checks": [asdict(c) for c in checks],
     }

@@ -149,6 +149,16 @@ def test_subnormal_temperature_exits_2_without_warnings(argv, capsys):
     assert "1/T overflows" in capsys.readouterr().err
 
 
+def test_tiny_temperature_runs_without_warnings(capsys):
+    # beta times a level gap overflows here, though 1/T does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["negativity", "--R", "0.5", "--Dz", "1", "--B", "30",
+                     "--T", "1e-307"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[-3:] == ["inf", "-59.89321661549655", "0.0"]
+
+
 def test_critical_dz(capsys):
     assert main(["critical", "--axis", "Dz", "--R", "0.5", "--B", "0.5",
                  "--T", "0.08"]) == 0
@@ -254,6 +264,18 @@ def test_validate_fast(capsys):
     out = capsys.readouterr().out
     assert "ALL CHECKS PASSED" in out
     assert "FAIL" not in out
+
+
+def test_validate_json_reports_the_time_of_each_check(capsys):
+    assert main(["validate", "--fast", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report["timings"]) == [
+        "check_spectrum", "check_hamiltonian_routes", "check_gibbs_routes",
+        "check_ground_mixture", "check_symmetries", "check_invariants",
+        "check_oracle", "check_negativity_routes", "check_hf_maximum",
+        "check_headline", "check_critical_field"]
+    assert all(t >= 0.0 for t in report["timings"].values())
+    assert sum(report["timings"].values()) <= report["elapsed_seconds"]
 
 
 @pytest.mark.parametrize("argv", [

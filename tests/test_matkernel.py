@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from qutritxxz import matkernel as mk
 from qutritxxz.model import SPIN_Z
 
-from conftest import random_hermitian
+from conftest import haar_unitary, random_hermitian
 
 
 def test_kron_identity():
@@ -89,6 +89,55 @@ def test_eig_matches_lapack_oracle(rng):
         ours = mk.hermitian_eig(h).eigenvalues
         theirs = np.linalg.eigvalsh(h)
         assert np.max(np.abs(ours - theirs)) < 1e-10
+
+
+def _spectrum_draw(rng, kind, n=9):
+    """A dense Hermitian matrix, or one with a random unitary basis and an
+    exactly threefold or nearly (gap 1e-9) twofold degenerate level."""
+    if kind == "dense":
+        return random_hermitian(rng, n)
+    w = rng.normal(size=n)
+    if kind == "degenerate":
+        w[1] = w[2] = w[0]
+    else:
+        w[1] = w[0] + 1e-9
+    q = haar_unitary(rng, n)
+    h = (q * w) @ q.conj().T
+    return (h + h.conj().T) / 2
+
+
+@pytest.mark.parametrize("kind", ["dense", "degenerate", "near_degenerate"])
+def test_eig_matches_lapack_oracle_relative_to_norm(kind):
+    # independent oracle: numpy's LAPACK eigvalsh, used only here in tests
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        h = _spectrum_draw(rng, kind)
+        ours = mk.hermitian_eig(h).eigenvalues
+        theirs = np.linalg.eigvalsh(h)
+        assert np.max(np.abs(ours - theirs)) <= 1e-12 * np.linalg.norm(h)
+
+
+def test_eig_leaves_input_unchanged(rng):
+    h = random_hermitian(rng)
+    before = h.copy()
+    mk.hermitian_eig(h)
+    assert np.array_equal(h, before)
+
+
+def test_eig_real_symmetric_gives_complex_unitary_vectors(rng):
+    a = rng.normal(size=(9, 9))
+    h = a + a.T
+    d = mk.hermitian_eig(h)
+    v = d.eigenvectors
+    assert v.dtype == np.complex128 and d.eigenvalues.dtype == np.float64
+    assert np.max(np.abs(v.conj().T @ v - np.eye(9))) < 1e-12
+    assert np.max(np.abs(d.reconstruct() - h)) < 1e-12 * np.linalg.norm(h)
+
+
+def test_hermitian_eig_sweep_cap(monkeypatch, rng):
+    monkeypatch.setattr(mk, "JACOBI_MAX_SWEEPS", 0)
+    with pytest.raises(mk.NoConvergence):
+        mk.hermitian_eig(random_hermitian(rng))
 
 
 SECTORS = ((0,), (1, 3), (2, 4, 6), (5, 7), (8,))

@@ -4,9 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from qutritxxz.matkernel import hermitian_eig
 from qutritxxz.model import (
+    IDENTITY3,
     SPIN_X,
     SPIN_Y,
     SPIN_Z,
+    XX_PLUS_YY,
+    XY_MINUS_YX,
+    Z_TOTAL,
+    ZZ,
     DegenerateCoupling,
     DomainError,
     ModelParams,
@@ -105,6 +110,25 @@ def test_zeeman_only_diagonal():
     p = ModelParams(j_override=0.0, Dz=0.0, gamma=1.0, B=1.0)
     h = hamiltonian_tensor(p)
     assert np.array_equal(h, np.diag([2, 1, 0, 1, 0, -1, 0, -1, -2]).astype(complex))
+
+
+def test_tensor_matches_per_call_kron_assembly(rng):
+    # the operators made once at import give the same bits as the products
+    # assembled afresh in the same order
+    for _ in range(50):
+        p = random_params(rng)
+        h = p.J * (np.kron(SPIN_X, SPIN_X) + np.kron(SPIN_Y, SPIN_Y)
+                   + p.gamma * np.kron(SPIN_Z, SPIN_Z))
+        h += p.Dz * (np.kron(SPIN_X, SPIN_Y) - np.kron(SPIN_Y, SPIN_X))
+        h += p.B * (np.kron(SPIN_Z, IDENTITY3) + np.kron(IDENTITY3, SPIN_Z))
+        assert np.array_equal(hamiltonian_tensor(p), h)
+
+
+@pytest.mark.parametrize("op", [XX_PLUS_YY, ZZ, XY_MINUS_YX, Z_TOTAL])
+def test_two_site_operators_are_read_only(op):
+    assert op.shape == (9, 9) and not op.flags.writeable
+    with pytest.raises(ValueError):
+        op[0, 0] = 1.0
 
 
 def test_top_left_entry():

@@ -316,3 +316,18 @@ def test_temperature_with_overflowing_reciprocal_rejected(route, T):
     # and the state is the ground-state limit
     z, *rest = thermal_point(P_REF, 1e-300)
     assert z == float("inf") and rest == list(thermal_point(P_REF, 0.0)[1:])
+
+
+def test_tiny_temperature_weights_underflow_without_warnings():
+    # 1/T is finite but beta times the level gaps at B = 30 overflows: every
+    # excited weight is exactly 0 and the state is the ground state
+    p, T = ModelParams(R=0.5, gamma=1.0, Dz=1.0, B=30.0), 1e-307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, ground_energy, n = thermal_point(p, T)
+        states = [gibbs(p, T), gibbs_numeric(p, T)]
+    ground = ground_state_mixture(p)
+    assert (z, ground_energy, n) == (float("inf"), ground.ground_energy, 0.0)
+    for state in states:
+        assert state.Z == float("inf")
+        assert np.max(np.abs(state.rho - ground.rho)) < 1e-12
