@@ -15,13 +15,13 @@ import numpy as np
 
 from . import __version__
 from .entanglement import InvalidState
-from .matkernel import NoConvergence, NotHermitian, hermitian_eig
+from .matkernel import NoConvergence, NotHermitian, eigvalsh
 from .model import (
     HF_RANGE,
     DegenerateCoupling,
     DomainError,
     ModelParams,
-    analytic_spectrum,
+    closed_form_levels,
     effective_coupling,
     hamiltonian_tensor,
 )
@@ -169,17 +169,19 @@ def _write(text, out):
 def _cmd_spectrum(args):
     p, _ = _resolve(args, takes_t=False)
     eps, _ = levels(p)
-    numeric = hermitian_eig(hamiltonian_tensor(p)).eigenvalues
+    numeric = eigvalsh(hamiltonian_tensor(p))
     gap = float(np.max(np.abs(np.sort(eps) - numeric)))
     r, theta, degenerate = effective_coupling(p)
     if args.format == "json":
-        spec = None if degenerate else analytic_spectrum(p)
+        chi1 = chi2 = None
+        if not degenerate:
+            _, chi1, chi2 = closed_form_levels(p.gamma * p.J, p.B, r)
         payload = {
             "params": {"R": p.R, "gamma": p.gamma, "Dz": p.Dz, "B": p.B,
                        "J": p.J, "r": r, "theta": theta},
             "eigenvalues": {f"eps{i + 1}": float(e) for i, e in enumerate(eps)},
-            "chi1": None if spec is None else spec.chi1,
-            "chi2": None if spec is None else spec.chi2,
+            "chi1": chi1,
+            "chi2": chi2,
             "numeric_sorted": [float(x) for x in numeric],
             "max_gap_vs_numeric": gap,
         }
@@ -280,7 +282,8 @@ def main(argv=None) -> int:
             OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoConvergence, NotHermitian, SweepError, FloatingPointError) as exc:
+    except (NoConvergence, NotHermitian, SweepError, FloatingPointError,
+            OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

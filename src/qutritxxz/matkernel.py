@@ -4,19 +4,14 @@ Matrices are plain numpy complex128 arrays.  There is one eigensolver,
 _jacobi: cyclic Jacobi with unitary 2x2 rotations on Python scalars, which
 is robust and exact enough (off-diagonal norm driven below 1e-14 * ||A||)
 for the 9x9 problems this package cares about.  hermitian_eig runs it with
-the eigenvectors accumulated; sector_eigvalsh and the negativity of the
-thermal states run it for eigenvalues alone.  numpy is used only as the
-array carrier; no lapack eigenroutine is called, and the tests alone hold
-the kernel to numpy's LAPACK eigvalsh.
-
-sector_eigvalsh takes the eigenvalues of a matrix that is block-diagonal
-over given index sectors block by block, which is what the conserved
-magnetization of the qutrit dimer makes of every state it builds.
+the eigenvectors accumulated; eigvalsh and the negativity of the thermal
+states run it for eigenvalues alone.  numpy is used only as the array
+carrier; no lapack eigenroutine is called, and the tests alone hold the
+kernel to numpy's LAPACK eigvalsh.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,20 +59,6 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-@lru_cache(maxsize=None)
-def _off_sector_mask(sectors) -> np.ndarray:
-    """True at every entry outside the diagonal blocks of `sectors`, which
-    must partition range(n)."""
-    n = sum(len(block) for block in sectors)
-    if sorted(i for block in sectors for i in block) != list(range(n)):
-        raise ValueError(f"sectors {sectors} do not partition range({n})")
-    mask = np.ones((n, n), dtype=bool)
-    for block in sectors:
-        mask[np.ix_(block, block)] = False
-    mask.flags.writeable = False
-    return mask
-
-
 def _jacobi(off: list, cols: list = None) -> list:
     """Eigenvalues, unsorted, of a small Hermitian matrix given as nested
     lists of Python complex (or float, for a real symmetric matrix, which
@@ -91,7 +72,8 @@ def _jacobi(off: list, cols: list = None) -> list:
     diagonal is tracked as real floats and `off` is overwritten.  `cols`,
     the columns of a matrix V as lists, gets the same rotations, so when it
     starts as the identity, cols[k] ends as the unit eigenvector of the k-th
-    value returned.
+    value returned; `off` and the diagonal evolve the same with or without
+    it, so the eigenvalues do too.
     """
     n = len(off)
     diag = [off[i][i].real for i in range(n)]
@@ -143,52 +125,27 @@ def _jacobi(off: list, cols: list = None) -> list:
     )
 
 
+def _checked_hermitian(h) -> np.ndarray:
+    a = asmatrix(h)
+    if a.shape[0] != a.shape[1] or not is_hermitian(a):
+        raise NotHermitian(f"matrix of shape {a.shape} is not Hermitian within {HERMITICITY_ATOL}")
+    return a
+
+
 def hermitian_eig(h) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi
     (_jacobi with the eigenvectors accumulated from the identity), in
     stable ascending order.  The input is not modified; the eigenvectors
     are complex and unitary, and the identity for a zero matrix."""
-    a = asmatrix(h)
-    if a.shape[0] != a.shape[1] or not is_hermitian(a):
-        raise NotHermitian(f"matrix of shape {a.shape} is not Hermitian within {HERMITICITY_ATOL}")
+    a = _checked_hermitian(h)
     cols = np.eye(a.shape[0], dtype=complex).tolist()
     w = np.array(_jacobi(a.tolist(), cols))
     order = np.argsort(w, kind="stable")
     return EigenDecomposition(eigenvalues=w[order], eigenvectors=np.array(cols).T[:, order])
 
 
-def sector_eigvalsh(a, sectors) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, taken block by block.
-
-    `sectors` is a tuple of index tuples that partitions the rows.  When
-    every entry outside those diagonal blocks is exactly 0.0, the spectrum
-    is the union of the block spectra: a 1x1 block is its diagonal entry,
-    a 2x2 block has the closed form m +- hypot((a - b)/2, |c|), and a
-    larger block goes through _jacobi, with no eigenvectors.  Any other
-    matrix is taken as one block.
-    """
-    a = asmatrix(a)
-    if a.shape[0] != a.shape[1] or not is_hermitian(a):
-        raise NotHermitian(f"matrix of shape {a.shape} is not Hermitian within {HERMITICITY_ATOL}")
-    mask = _off_sector_mask(sectors)
-    if mask.shape != a.shape:
-        raise ValueError(f"sectors cover {mask.shape[0]} indices, matrix has shape {a.shape}")
-    if a[mask].any():
-        sectors = (tuple(range(a.shape[0])),)
-
-    rows = a.tolist()
-    w = []
-    for block in sectors:
-        if len(block) == 1:
-            i, = block
-            w.append(rows[i][i].real)
-        elif len(block) == 2:
-            i, j = block
-            x, y = rows[i][i].real, rows[j][j].real
-            mid = 0.5 * (x + y)
-            rad = math.hypot(0.5 * (x - y), abs(rows[i][j]))
-            w += [mid - rad, mid + rad]
-        else:
-            w += _jacobi([[rows[i][j] for j in block] for i in block])
-    w.sort()
-    return np.array(w)
+def eigvalsh(h) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix by _jacobi, with no
+    eigenvectors: the same numbers as hermitian_eig(h).eigenvalues.  The
+    input is not modified."""
+    return np.sort(_jacobi(_checked_hermitian(h).tolist()), kind="stable")

@@ -63,10 +63,15 @@ class DegenerateCoupling(ValueError):
 
 
 def hf_coupling(R: float) -> float:
-    """Herring-Flicker exchange 1.642 exp(-2R) R^{5/2} (leading term only)."""
+    """Herring-Flicker exchange 1.642 exp(-2R) R^{5/2} (leading term only).
+    Exactly 0.0 once exp(-2R) underflows (R above about 373), where R^{5/2}
+    may still overflow."""
     if R <= 0:
         raise DomainError(f"HF coupling needs R > 0, got {R}")
-    return HF_PREFACTOR * math.exp(-2.0 * R) * R**2.5
+    decay = math.exp(-2.0 * R)
+    if decay == 0.0:
+        return 0.0
+    return HF_PREFACTOR * decay * R**2.5
 
 
 @dataclass(frozen=True)
@@ -167,10 +172,14 @@ class AnalyticSpectrum:
 
 def closed_form_levels(gj: float, b: float, r: float):
     """The nine levels eps1..eps9 as a tuple of floats, and chi1, chi2, for
-    gamma*J = gj, field b and r > 0.  They depend on (gj, r, b) only."""
+    gamma*J = gj, field b and r > 0.  They depend on (gj, r, b) only.
+    OverflowError when gj^2 + 8 r^2 overflows (r above about 4.7e153),
+    which would make chi1, chi2 and eps8, eps9 infinite or NaN."""
     root = math.sqrt(gj * gj + 8.0 * r * r)
     chi1 = (root + gj) / r
     chi2 = (root - gj) / r
+    if not math.isfinite(chi1 + chi2):
+        raise OverflowError(f"closed-form levels overflow at gamma*J = {gj:.3e}, r = {r:.3e}")
     eps = (
         b + r,           # eps1
         b - r,           # eps2

@@ -18,7 +18,7 @@ from .entanglement import (
     partial_transpose,
     pure_state_negativity_oracle,
 )
-from .matkernel import hermitian_eig
+from .matkernel import eigvalsh, hermitian_eig
 from .model import (
     ModelParams,
     analytic_spectrum,
@@ -64,7 +64,7 @@ def check_spectrum(n_draws=1000, seed=20240901):
         p = _random_params(rng)
         spec = analytic_spectrum(p)
         h = hamiltonian_tensor(p)
-        numeric = hermitian_eig(h).eigenvalues
+        numeric = eigvalsh(h)
         worst_eig = max(worst_eig, float(np.max(np.abs(spec.sorted_eigenvalues() - numeric))))
         res = h @ spec.vecs - spec.vecs * spec.eps
         worst_vec = max(worst_vec, float(np.max(np.linalg.norm(res, axis=0))))
@@ -209,10 +209,15 @@ def check_oracle(seed=13):
 
 
 def check_negativity_routes(n_draws=100, seed=20240903):
-    """Block-by-block negativity and the closed-form thermal_point vs dense
-    Jacobi on the whole partial transpose, for states from every route a
-    sweep point can take: the closed form, the numeric fallback at r = 0
-    and the T = 0 mixture."""
+    """negativity(rho) and the closed-form thermal_point vs dense Jacobi
+    (hermitian_eig) on the whole partial transpose, for states from every
+    route a sweep point can take: the closed form, the numeric fallback at
+    r = 0 and the T = 0 mixture.
+
+    negativity runs eigvalsh, which is the same _jacobi arithmetic as
+    hermitian_eig, so negativity_sector_vs_dense reads 0.0 by construction;
+    it guards negativity's PSD gate, sort order and -1e-12 cut.  The
+    independent comparison is negativity_closed_form_vs_dense."""
     rng = np.random.default_rng(seed)
     worst_sector = worst_point = 0.0
     for _ in range(n_draws):

@@ -254,6 +254,26 @@ def test_config_unknown_key(tmp_path, capsys):
     assert main(["negativity", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["negativity", "--R", "1e200"],
+    ["spectrum", "--R", "1e200"],
+    ["critical", "--axis", "Dz", "--R", "1e200"],
+    ["sweep", "--vary", "R", "--from", "100", "--to", "1e200", "--steps", "3"],
+], ids=["negativity", "spectrum", "critical-Dz", "sweep"])
+def test_huge_r_has_zero_coupling(argv, capsys):
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--J", "1e200", "--Dz", "1"],
+    ["negativity", "--J", "1e200", "--Dz", "1", "--T", "0"],
+    ["critical", "--axis", "B", "--J", "1", "--Dz", "1e200"],
+], ids=["spectrum", "negativity", "critical-B"])
+def test_overflow_exits_3(argv, capsys):
+    assert main(argv) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_r_outside_window_warns(capsys):
     assert main(["negativity", "--R", "7.5", "--T", "1"]) == 0
     assert "outside the HF validity window" in capsys.readouterr().err

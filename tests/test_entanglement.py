@@ -229,9 +229,12 @@ def test_negativity_matches_dense_path_on_every_route(subsystem, rng):
         r0 = ModelParams(j_override=0.0, Dz=0.0, gamma=p.gamma, B=p.B)
         for rho in (gibbs_analytic(p, t).rho, gibbs_numeric(r0, t).rho,
                     ground_state_mixture(p).rho):
-            w = hermitian_eig(partial_transpose(rho, subsystem)).eigenvalues
-            dense = -float(w[w < -1e-12].sum())
-            assert abs(negativity(rho, subsystem).value - dense) < 1e-12
+            pt = partial_transpose(rho, subsystem)
+            n = negativity(rho, subsystem).value
+            # hermitian_eig shares _jacobi with negativity; numpy's LAPACK
+            # eigvalsh (tests only) is the independent oracle
+            for w in (hermitian_eig(pt).eigenvalues, np.linalg.eigvalsh(pt)):
+                assert abs(n + float(w[w < -1e-12].sum())) < 1e-12
 
 
 def test_library_path_calls_no_lapack_eigenroutine(monkeypatch, capsys):

@@ -140,6 +140,7 @@ def test_hermitian_eig_sweep_cap(monkeypatch, rng):
         mk.hermitian_eig(random_hermitian(rng))
 
 
+#: the M = m1 + m2 blocks of a two-qutrit state
 SECTORS = ((0,), (1, 3), (2, 4, 6), (5, 7), (8,))
 
 
@@ -168,32 +169,48 @@ def _sector_matrix(rng, kind):
 @given(st.integers(0, 10_000),
        st.sampled_from(["random", "degenerate", "near_degenerate", "zero_blocks", "dense"]))
 @settings(max_examples=200, deadline=None)
-def test_sector_eigvalsh_matches_hermitian_eig(seed, kind):
+def test_eigvalsh_matches_lapack_and_hermitian_eig(seed, kind):
+    # independent oracle: numpy's LAPACK eigvalsh, used only here in tests
     a = _sector_matrix(np.random.default_rng(seed), kind)
-    w = mk.sector_eigvalsh(a, SECTORS)
+    w = mk.eigvalsh(a)
     assert np.all(np.diff(w) >= 0)
-    assert np.max(np.abs(w - mk.hermitian_eig(a).eigenvalues)) < 1e-12
+    assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-12 * np.linalg.norm(a)
+    assert np.array_equal(w, mk.hermitian_eig(a).eigenvalues)
 
 
-def test_sector_eigvalsh_degenerate_block_exact():
-    # a multiple of the identity has no off-diagonal entry to rotate
+def test_eigvalsh_diagonal_exact():
+    # a diagonal matrix has no off-diagonal entry to rotate
     a = np.diag([2.0, 1.0, 0.5, 1.0, 0.5, 3.0, 0.5, 3.0, -1.0]).astype(complex)
-    assert np.array_equal(mk.sector_eigvalsh(a, SECTORS),
-                          [-1.0, 0.5, 0.5, 0.5, 1.0, 1.0, 2.0, 3.0, 3.0])
+    assert np.array_equal(mk.eigvalsh(a), [-1.0, 0.5, 0.5, 0.5, 1.0, 1.0, 2.0, 3.0, 3.0])
 
 
-def test_sector_eigvalsh_input_checks():
+def test_eigvalsh_input_checks():
     with pytest.raises(mk.NotHermitian):
-        mk.sector_eigvalsh(np.triu(np.ones((9, 9), dtype=complex)), SECTORS)
+        mk.eigvalsh(np.triu(np.ones((9, 9), dtype=complex)))
     with pytest.raises(ValueError):
-        mk.sector_eigvalsh(np.full((9, 9), np.nan), SECTORS)
-    with pytest.raises(ValueError, match="do not partition"):
-        mk.sector_eigvalsh(np.eye(9), ((0, 1), (1, 2, 3, 4, 5, 6, 7, 8)))
-    with pytest.raises(ValueError, match="matrix has shape"):
-        mk.sector_eigvalsh(np.eye(4), SECTORS)
+        mk.eigvalsh(np.full((9, 9), np.nan))
+    with pytest.raises(mk.NotHermitian, match="shape"):
+        mk.eigvalsh(np.ones((3, 4)))
 
 
-def test_sector_eigvalsh_sweep_cap(monkeypatch, rng):
+def test_eigvalsh_leaves_input_unchanged(rng):
+    a = _sector_matrix(rng, "random")
+    before = a.copy()
+    mk.eigvalsh(a)
+    assert np.array_equal(a, before)
+
+
+def test_eigvalsh_sweep_cap(monkeypatch, rng):
     monkeypatch.setattr(mk, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(mk.NoConvergence):
-        mk.sector_eigvalsh(_sector_matrix(rng, "random"), SECTORS)
+        mk.eigvalsh(_sector_matrix(rng, "random"))
+
+
+def test_eigvalsh_overflow_raises():
+    # squaring an entry of 1e200 overflows: an error, not a norm of inf that
+    # would pass the stop test at once and return the diagonal
+    a = np.array([[0.0, 1e200], [1e200, 0.0]])
+    with pytest.raises(OverflowError):
+        mk.eigvalsh(a)
+    with pytest.raises(OverflowError):
+        mk.hermitian_eig(a)

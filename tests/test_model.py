@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from qutritxxz.model import (
     DomainError,
     ModelParams,
     analytic_spectrum,
+    closed_form_levels,
     effective_coupling,
     hamiltonian_closed_form,
     hamiltonian_tensor,
@@ -57,6 +60,23 @@ def test_hf_coupling_maximum_at_1_25():
     assert hf_coupling(1.25) > hf_coupling(1.25 - eps)
     assert hf_coupling(1.25) > hf_coupling(1.25 + eps)
     assert hf_coupling(1.25) == pytest.approx(0.235460, abs=1e-4)
+
+
+def test_hf_coupling_is_zero_once_the_decay_underflows():
+    # R^{5/2} overflows from R ~ 1.2e123, long after exp(-2R) is 0.0
+    assert hf_coupling(1e200) == 0.0
+    assert hf_coupling(1.7e308) == 0.0
+    for r in (0.5, 1.25, 6.0, 100.0, 372.0, 400.0, 1e100):
+        assert hf_coupling(r) == 1.642 * math.exp(-2.0 * r) * r**2.5
+
+
+def test_closed_form_levels_overflow_raises():
+    with pytest.raises(OverflowError):
+        closed_form_levels(1e200, 0.0, 1e200)
+    with pytest.raises(OverflowError):
+        closed_form_levels(math.inf, 0.0, 1e200)
+    eps, chi1, chi2 = closed_form_levels(1e150, 0.0, 1e150)
+    assert all(math.isfinite(x) for x in (*eps, chi1, chi2))
 
 
 def test_hf_coupling_domain():

@@ -317,7 +317,7 @@ def test_point_path_runs_no_dense_solver(monkeypatch, capsys):
 
     for module in (matkernel, model, thermal, entanglement, sweeps, cli):
         for name in ("hermitian_eig", "hamiltonian_tensor", "negativity", "partial_transpose",
-                     "sector_eigvalsh", "gibbs", "gibbs_analytic", "gibbs_numeric",
+                     "eigvalsh", "gibbs", "gibbs_analytic", "gibbs_numeric",
                      "ground_state_mixture"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
