@@ -11,8 +11,6 @@ from dataclasses import asdict
 import re
 import sys
 
-import numpy as np
-
 from . import __version__
 from .entanglement import InvalidState
 from .matkernel import NoConvergence, NotHermitian, eigvalsh
@@ -21,7 +19,6 @@ from .model import (
     DegenerateCoupling,
     DomainError,
     ModelParams,
-    closed_form_levels,
     effective_coupling,
     hamiltonian_tensor,
 )
@@ -38,7 +35,7 @@ from .sweeps import (
     figure_preset,
     run_sweep,
 )
-from .thermal import levels
+from .thermal import level_values
 from .validate import validate
 
 EXIT_OK = 0
@@ -168,21 +165,19 @@ def _write(text, out):
 
 def _cmd_spectrum(args):
     p, _ = _resolve(args, takes_t=False)
-    eps, _ = levels(p)
-    numeric = eigvalsh(hamiltonian_tensor(p))
-    gap = float(np.max(np.abs(np.sort(eps) - numeric)))
-    r, theta, degenerate = effective_coupling(p)
+    eps, chi = level_values(p)
+    numeric = eigvalsh(hamiltonian_tensor(p)).tolist()
+    gap = max(abs(a - b) for a, b in zip(sorted(eps), numeric))
+    r, theta, _ = effective_coupling(p)
     if args.format == "json":
-        chi1 = chi2 = None
-        if not degenerate:
-            _, chi1, chi2 = closed_form_levels(p.gamma * p.J, p.B, r)
+        chi1, chi2 = chi or (None, None)
         payload = {
             "params": {"R": p.R, "gamma": p.gamma, "Dz": p.Dz, "B": p.B,
                        "J": p.J, "r": r, "theta": theta},
-            "eigenvalues": {f"eps{i + 1}": float(e) for i, e in enumerate(eps)},
+            "eigenvalues": {f"eps{i + 1}": e for i, e in enumerate(eps)},
             "chi1": chi1,
             "chi2": chi2,
-            "numeric_sorted": [float(x) for x in numeric],
+            "numeric_sorted": numeric,
             "max_gap_vs_numeric": gap,
         }
         _write(json_text(payload), args.out)

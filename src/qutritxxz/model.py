@@ -14,6 +14,7 @@ by analytic_spectrum alongside the labeled eigenvectors.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -43,9 +44,6 @@ XX_PLUS_YY = _read_only(kron(SPIN_X, SPIN_X) + kron(SPIN_Y, SPIN_Y))
 ZZ = _read_only(kron(SPIN_Z, SPIN_Z))
 XY_MINUS_YX = _read_only(kron(SPIN_X, SPIN_Y) - kron(SPIN_Y, SPIN_X))
 Z_TOTAL = _read_only(kron(SPIN_Z, IDENTITY3) + kron(IDENTITY3, SPIN_Z))
-
-#: basis labels in matrix order, index = 3*(m1+1) + (m2+1)
-BASIS_LABELS = tuple(f"|{m1},{m2}>" for m1 in (-1, 0, 1) for m2 in (-1, 0, 1))
 
 SIGN_CONVENTION_NOTE = (
     "basis |-1,-1>..|1,1> with sz = diag(1,0,-1); the |-1,-1> diagonal "
@@ -147,8 +145,7 @@ def hamiltonian_closed_form(p: ModelParams) -> np.ndarray:
     r, theta, _ = effective_coupling(p)
     z = r * np.exp(1j * theta)
     h = np.zeros((9, 9), dtype=complex)
-    diag = [gj + 2 * b, b, -gj, b, 0.0, -b, -gj, -b, gj - 2 * b]
-    h[np.arange(9), np.arange(9)] = diag
+    h[np.arange(9), np.arange(9)] = diagonal_levels(gj, b)
     for i, k in [(1, 3), (2, 4), (4, 6), (5, 7)]:
         h[i, k] = z
         h[k, i] = np.conj(z)
@@ -170,21 +167,35 @@ class AnalyticSpectrum:
         return np.sort(self.eps)
 
 
+def diagonal_levels(gj: float, b: float) -> tuple:
+    """The diagonal of H in the product basis as nine floats (gamma*J = gj,
+    field b): the levels at r = 0, labelled by basis index + 1.
+    OverflowError when gj +- 2b overflows (|B| above about 9e307)."""
+    top, bottom = gj + 2 * b, gj - 2 * b
+    if math.isinf(top) or math.isinf(bottom):
+        raise OverflowError(f"levels overflow at gamma*J = {gj:.3e}, B = {b:.3e}")
+    return (top, b, -gj, b, 0.0, -b, -gj, -b, bottom)
+
+
 def closed_form_levels(gj: float, b: float, r: float):
     """The nine levels eps1..eps9 as a tuple of floats, and chi1, chi2, for
     gamma*J = gj, field b and r > 0.  They depend on (gj, r, b) only.
     OverflowError when gj^2 + 8 r^2 overflows (r above about 4.7e153),
-    which would make chi1, chi2 and eps8, eps9 infinite or NaN."""
-    root = math.sqrt(gj * gj + 8.0 * r * r)
+    which would make chi1, chi2 and eps8, eps9 infinite or NaN, or gj +- 2b
+    does.  A subnormal gj^2 + 8 r^2 has lost digits: hypot takes the root."""
+    sq = gj * gj + 8.0 * r * r
+    root = math.sqrt(sq) if sq >= sys.float_info.min else math.hypot(gj, math.sqrt(8.0) * r)
     chi1 = (root + gj) / r
     chi2 = (root - gj) / r
-    if not math.isfinite(chi1 + chi2):
-        raise OverflowError(f"closed-form levels overflow at gamma*J = {gj:.3e}, r = {r:.3e}")
+    top, bottom = gj + 2 * b, gj - 2 * b
+    if not math.isfinite(chi1 + chi2) or math.isinf(top) or math.isinf(bottom):
+        raise OverflowError(f"closed-form levels overflow at gamma*J = {gj:.3e}, "
+                            f"r = {r:.3e}, B = {b:.3e}")
     eps = (
         b + r,           # eps1
         b - r,           # eps2
-        gj + 2 * b,      # eps3
-        gj - 2 * b,      # eps4
+        top,             # eps3
+        bottom,          # eps4
         -gj,             # eps5
         -b + r,          # eps6
         -b - r,          # eps7

@@ -14,11 +14,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .model import SIGN_CONVENTION_NOTE, ModelParams, effective_coupling
-from .thermal import GROUND_DEGENERACY_TOL, inverse_temperature, levels, thermal_point
+from .thermal import GROUND_DEGENERACY_TOL, inverse_temperature, level_values, thermal_point
 
 CSV_COLUMNS = (
     "grid_param", "grid_value", "T", "B", "Dz", "R", "gamma",
@@ -54,7 +52,6 @@ class SweepSpec:
     steps: int
     fixed: ModelParams = ModelParams()
     T: float = 1.0                 # ignored when vary == "T"
-    outputs: tuple = CSV_COLUMNS
 
     def __post_init__(self):
         if self.vary not in ("T", "B", "Dz", "R"):
@@ -64,7 +61,7 @@ class SweepSpec:
         if self.steps < 2:
             raise ValueError(f"need at least 2 steps, got {self.steps}")
         grid = self.grid()
-        if not np.all(np.diff(grid) > 0):
+        if not all(a < b for a, b in zip(grid, grid[1:])):
             raise ValueError(f"grid values collide after rounding to 10 decimals: "
                              f"{self.steps} steps on [{self.start}, {self.stop}]")
         # T = 0 would silently switch a point to the ground-state mixture
@@ -74,9 +71,11 @@ class SweepSpec:
         if self.vary != "T":
             inverse_temperature(self.T, allow_zero=True)
 
-    def grid(self) -> np.ndarray:
-        # round away linspace's last-bit noise so grid values print cleanly
-        return np.round(np.linspace(self.start, self.stop, self.steps), 10)
+    def grid(self) -> list:
+        # round away last-bit noise so values print cleanly; round(y, 0) is numpy's rint
+        step = (self.stop - self.start) / (self.steps - 1)
+        values = [i * step + self.start for i in range(self.steps - 1)] + [self.stop]
+        return [round(x * 1e10, 0) / 1e10 for x in values]
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class SweepResult:
 class CriticalPoint:
     parameter: str
     value: float
-    kind: str                      # LevelCrossing | NegativityOnset | NegativityDeath
+    kind: str                      # LevelCrossing | NegativityOnset
     bracket: tuple
 
 
@@ -107,24 +106,24 @@ def _apply(spec: SweepSpec, value: float):
     """Model params and temperature for one grid point."""
     p, t = spec.fixed, spec.T
     if spec.vary == "T":
-        t = float(value)
+        t = value
     elif spec.vary == "R":
-        p = replace(p, R=float(value), j_override=None)
+        p = replace(p, R=value, j_override=None)
     else:
-        p = replace(p, **{spec.vary: float(value)})
+        p = replace(p, **{spec.vary: value})
     return p, t
 
 
 def run_sweep(spec: SweepSpec, label: Optional[str] = None) -> SweepResult:
     rows = []
     for value in spec.grid():
-        p, t = _apply(spec, float(value))
+        p, t = _apply(spec, value)
         try:
             rec = _point(p, t)
         except Exception as exc:
-            raise SweepError(float(value), exc) from exc
+            raise SweepError(value, exc) from exc
         rec["grid_param"] = spec.vary
-        rec["grid_value"] = float(value)
+        rec["grid_value"] = value
         rows.append(rec)
     meta = {
         "tool": "qutritxxz",
@@ -163,24 +162,26 @@ def detect_critical_field(p: ModelParams, b_max: float = 5.0) -> list:
     one crossing, and a B = 0 degeneracy the field lifts is one at 0.0.
     """
     _check_finite("b_max", b_max)
-    c = levels(replace(p, B=0.0))[0]
-    s = np.rint(levels(replace(p, B=1.0))[0] - c)
+    c = level_values(replace(p, B=0.0))[0]
+    s = [round(e - e0) for e0, e in zip(c, level_values(replace(p, B=1.0))[0])]
     b, e = 0.0, c
-    tied = np.flatnonzero(c - c.min() < GROUND_DEGENERACY_TOL)
+    c_min = min(c)
+    tied = [i for i in range(9) if c[i] - c_min < GROUND_DEGENERACY_TOL]
     crossings = []
     while True:
-        if np.ptp(s[tied]) > 0:    # lines of different slopes meet at b
+        if len({s[i] for i in tied}) > 1:    # lines of different slopes meet at b
             crossings.append(b)
         # of the tied lines, the one with the smallest slope stays lowest
         k = min(tied, key=lambda i: (s[i], e[i]))
-        lower = np.flatnonzero(s < s[k])
-        if lower.size == 0:
+        lower = [i for i in range(9) if s[i] < s[k]]
+        if not lower:
             break
-        meet = (c[lower] - c[k]) / (s[k] - s[lower])
-        b = float(meet.min())
-        e = c + s * b
+        meet = [(c[i] - c[k]) / (s[k] - s[i]) for i in lower]
+        b = min(meet)
+        e = [ci + si * b for ci, si in zip(c, s)]
         # the first line to meet k is tied even where rounding exceeds the tolerance
-        tied = np.append(lower[(e[lower] - e[k] < GROUND_DEGENERACY_TOL) | (meet == b)], k)
+        tied = [i for i, m in zip(lower, meet)
+                if e[i] - e[k] < GROUND_DEGENERACY_TOL or m == b] + [k]
     return [CriticalPoint(parameter="B", value=x, kind="LevelCrossing", bracket=(x, x))
             for x in crossings if x <= b_max]
 

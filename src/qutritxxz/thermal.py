@@ -1,23 +1,22 @@
 """Gibbs state rho(T) = exp(-beta H)/Z and its T = 0 limit.
 
 thermal_point is the point evaluator of sweeps, scans and the CLI: it
-returns (Z, ground energy, negativity) from the nine closed-form levels
-and the ten real elements of rho that its partial transpose is made of
-(entanglement.element_negativity), with no 9x9 matrix.  The states
+returns (Z, ground energy, negativity) from the nine levels as floats
+(level_values) and the ten real elements of rho that its partial transpose
+is made of (entanglement.element_negativity), with no numpy.  The states
 themselves come from the same levels: gibbs_analytic assembles the
-closed-form matrix elements from them and chi1, chi2;
-ground_state_mixture takes the labelled eigenvectors (levels); and at
-r = 0, where H is diagonal in the product basis, gibbs and
-ground_state_mixture take the diagonal of the closed-form Hamiltonian
-with the basis vectors.  They are the entry points for the state itself
-and the references the evaluator is checked against.  gibbs_numeric
-diagonalizes the tensor-product Hamiltonian with the Jacobi kernel; it is
-the independent reference that validate and the tests compare against,
-entrywise to 1e-10, which checks the closed forms (and the eps9 sign).
-Every route applies the spectral shift eps -> eps - eps_min before
-exponentiating, so arbitrarily low temperatures never overflow (a weight
-whose exponent overflows is exactly 0), and takes beta from
-inverse_temperature, which rejects a T whose 1/T overflows.
+closed-form matrix elements from them and chi1, chi2; ground_state_mixture,
+and gibbs at r = 0 (H diagonal), take the labelled eigenvectors (levels).
+They are the entry points for the state itself and the references the
+evaluator is checked against.  gibbs_numeric diagonalizes the
+tensor-product Hamiltonian with the Jacobi kernel; it is the independent
+reference that validate and the tests compare against, entrywise to 1e-10,
+which checks the closed forms (and the eps9 sign).  Every route takes its
+weights from _weights, as Python floats shifted by eps_min before
+exponentiating, so arbitrarily low temperatures never overflow (math.exp
+of an exponent that overflows is exactly 0, with no warning), and summed
+by math.fsum; beta comes from inverse_temperature, which rejects a T whose
+1/T overflows.
 """
 
 import math
@@ -33,8 +32,8 @@ from .model import (
     ModelParams,
     analytic_spectrum,
     closed_form_levels,
+    diagonal_levels,
     effective_coupling,
-    hamiltonian_closed_form,
     hamiltonian_tensor,
 )
 
@@ -71,44 +70,54 @@ def inverse_temperature(T: float, allow_zero: bool = False) -> float:
     return beta
 
 
+def level_values(p: ModelParams):
+    """The nine levels of H as floats and (chi1, chi2), with no matrix:
+    closed_form_levels (labels 1..9) when r > 0; at r = 0, where H is
+    diagonal, diagonal_levels (labels are basis indices + 1) and None."""
+    r, _, degenerate = effective_coupling(p)
+    if degenerate:
+        return diagonal_levels(p.gamma * p.J, p.B), None
+    eps, chi1, chi2 = closed_form_levels(p.gamma * p.J, p.B, r)
+    return eps, (chi1, chi2)
+
+
 def levels(p: ModelParams):
-    """The nine levels of H and their unit eigenvectors (columns), with no
-    dense solve: analytic_spectrum (labels 1..9) when r > 0; at r = 0, where
-    H is diagonal, the diagonal of hamiltonian_closed_form with the basis
-    vectors (labels are then basis indices + 1)."""
+    """The nine levels of H (an array) and their unit eigenvectors
+    (columns), with no dense solve: analytic_spectrum when r > 0, and the
+    basis vectors with diagonal_levels at r = 0."""
     try:
         spec = analytic_spectrum(p)
     except DegenerateCoupling:
-        return hamiltonian_closed_form(p).diagonal().real, np.eye(9, dtype=complex)
+        return np.array(diagonal_levels(p.gamma * p.J, p.B)), np.eye(9, dtype=complex)
     return spec.eps, spec.vecs
 
 
-def _shifted_weights(eps: np.ndarray, beta: float):
-    """Boltzmann weights exp(-beta (eps - eps_min)), their sum and eps_min."""
-    values = eps.tolist()
-    eps_min = min(values)
-    x = eps - eps_min
-    if math.isinf(beta * (max(values) - eps_min)):
-        # at a tiny T, beta times a level gap overflows to +inf, and
-        # exp(-inf) = 0 is then the exact weight: the overflow is no error
-        with np.errstate(over="ignore"):
-            u = np.exp(-beta * x)
+def _weights(eps, beta: float):
+    """Weights of the float levels eps, their math.fsum and eps_min: the
+    shifted Boltzmann weights exp(-beta (eps - eps_min)), or at beta = inf
+    the ground-level indicators (1.0 within GROUND_DEGENERACY_TOL of eps_min)."""
+    eps_min = min(eps)
+    if beta == math.inf:
+        u = [1.0 if e - eps_min < GROUND_DEGENERACY_TOL else 0.0 for e in eps]
     else:
-        u = np.exp(-beta * x)
-    return u, float(u.sum()), eps_min
+        u = [math.exp(-beta * (e - eps_min)) for e in eps]
+    return u, math.fsum(u), eps_min
 
 
 def _unshifted_z(zs: float, beta: float, eps_min: float) -> float:
     """Z = zs * exp(-beta eps_min); inf when the rescaling overflows
-    (beta up to 1e6 must stay safe, the shifted weights already are)."""
+    (beta up to 1e6 must stay safe, the shifted weights already are).  At
+    beta = inf, zs itself: the ground-level degeneracy."""
+    if beta == math.inf:
+        return zs
     x = -beta * eps_min
     return zs * math.exp(x) if x < 700.0 else math.inf
 
 
 def _spectral_state(eps: np.ndarray, vecs: np.ndarray, beta: float) -> ThermalState:
-    """exp(-beta H)/Z from the levels of H and their unit eigenvectors."""
-    u, zs, eps_min = _shifted_weights(eps, beta)
-    rho = (vecs * (u / zs)) @ vecs.conj().T
+    """exp(-beta H)/Z (beta = inf: the ground mixture) from levels and unit eigenvectors."""
+    u, zs, eps_min = _weights(eps.tolist(), beta)
+    rho = (vecs * (np.array(u) / zs)) @ vecs.conj().T
     return ThermalState(beta=beta, Z=_unshifted_z(zs, beta, eps_min), rho=rho,
                         ground_energy=eps_min)
 
@@ -154,8 +163,7 @@ def _rho_elements(chi1: float, chi2: float, u) -> tuple:
     )
 
 
-def _analytic_rho(chi1: float, chi2: float, theta: float, u: np.ndarray,
-                  zs: float) -> np.ndarray:
+def _analytic_rho(chi1: float, chi2: float, theta: float, u, zs: float) -> np.ndarray:
     """Closed-form Eq.-style matrix elements: the ten real elements of
     _rho_elements with the phases e^{i theta} and e^{2i theta}."""
     r11, r22, r24, r33, r35, r37, r55, r66, r68, r99 = _rho_elements(chi1, chi2, u)
@@ -181,7 +189,7 @@ def gibbs_analytic(p: ModelParams, T: float) -> ThermalState:
     if degenerate:
         raise DegenerateCoupling("r = 0: closed forms unavailable, use gibbs_numeric")
     eps, chi1, chi2 = closed_form_levels(p.gamma * p.J, p.B, r)
-    u, zs, eps_min = _shifted_weights(np.array(eps), beta)
+    u, zs, eps_min = _weights(eps, beta)
     rho = _analytic_rho(chi1, chi2, theta, u, zs)
     return ThermalState(beta=beta, Z=_unshifted_z(zs, beta, eps_min), rho=rho,
                         ground_energy=eps_min)
@@ -204,39 +212,24 @@ def ground_state_mixture(p: ModelParams) -> ThermalState:
     """T = 0 limit: equal-weight mixture over the (possibly degenerate)
     ground level of the closed-form levels.  At a level crossing this is
     honestly rank-deficient."""
-    eps, vecs = levels(p)
-    eps_min = float(eps.min())
-    ground = eps - eps_min < GROUND_DEGENERACY_TOL
-    g = int(ground.sum())
-    v = vecs[:, ground]
-    rho = (v @ v.conj().T) / g
-    return ThermalState(beta=math.inf, Z=float(g), rho=rho, ground_energy=eps_min)
+    return _spectral_state(*levels(p), math.inf)
 
 
 def thermal_point(p: ModelParams, T: float) -> tuple:
     """(Z, ground_energy, negativity) of gibbs(p, T), or at T = 0 of
     ground_state_mixture(p), with no 9x9 matrix.
 
-    Z and ground_energy come from the same levels, in the same order, as in
-    those two routes, so they agree bit for bit.  The negativity comes from
-    the ten real elements of rho (element_negativity).  At r = 0, rho is
-    diagonal, so its partial transpose is rho itself and N = +0.0.
+    Z and ground_energy come from the same levels, in the same order and
+    through the same _weights, as in those two routes, so they agree bit for
+    bit.  The negativity comes from the ten real elements of rho
+    (element_negativity).  At r = 0, rho is diagonal, so its partial
+    transpose is rho itself and N = +0.0.
     """
     beta = inverse_temperature(T, allow_zero=True)
-    r, _, degenerate = effective_coupling(p)
-    if degenerate:
-        eps = levels(p)[0]
-    else:
-        eps, chi1, chi2 = closed_form_levels(p.gamma * p.J, p.B, r)
-        eps = np.array(eps)
-    eps_min = float(eps.min())
-    if beta == math.inf:
-        u = (eps - eps_min < GROUND_DEGENERACY_TOL).astype(float)
-        zs = Z = float(u.sum())
-    else:
-        u, zs, _ = _shifted_weights(eps, beta)
-        Z = _unshifted_z(zs, beta, eps_min)
-    if degenerate:
-        return Z, eps_min, 0.0
-    elements = _rho_elements(chi1, chi2, u.tolist())
-    return Z, eps_min, element_negativity([x / zs for x in elements])
+    eps, chi = level_values(p)
+    u, zs, eps_min = _weights(eps, beta)
+    z = _unshifted_z(zs, beta, eps_min)
+    if chi is None:
+        return z, eps_min, 0.0
+    elements = _rho_elements(*chi, u)
+    return z, eps_min, element_negativity([x / zs for x in elements])

@@ -268,10 +268,29 @@ def test_huge_r_has_zero_coupling(argv, capsys):
     ["spectrum", "--J", "1e200", "--Dz", "1"],
     ["negativity", "--J", "1e200", "--Dz", "1", "--T", "0"],
     ["critical", "--axis", "B", "--J", "1", "--Dz", "1e200"],
-], ids=["spectrum", "negativity", "critical-B"])
+    # the levels gamma*J +- 2B overflow, at r > 0 and at r = 0
+    ["negativity", "--R", "0.5", "--Dz", "1", "--B", "1e308", "--T", "1"],
+    ["negativity", "--J", "0", "--Dz", "0", "--B", "1e308", "--T", "1"],
+    ["spectrum", "--R", "0.5", "--Dz", "1", "--B", "1e308"],
+    ["spectrum", "--J", "0", "--Dz", "0", "--B", "1e308"],
+], ids=["spectrum", "negativity", "critical-B", "negativity-field", "negativity-field-r0",
+        "spectrum-field", "spectrum-field-r0"])
 def test_overflow_exits_3(argv, capsys):
-    assert main(argv) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("j", [1e-160, 1e-310])
+def test_spectrum_at_subnormal_coupling(j, capsys):
+    # (gamma J)^2 + 8 r^2 is subnormal here; the levels keep their digits
+    assert main(["spectrum", "--J", repr(j), "--Dz", "0", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    chi1, chi2 = payload["chi1"], payload["chi2"]
+    eps = payload["eigenvalues"]
+    assert chi2 > 0 and chi1 * chi2 == pytest.approx(8.0, rel=1e-12)
+    assert eps["eps8"] + eps["eps9"] == pytest.approx(-j, rel=1e-12)
 
 
 def test_r_outside_window_warns(capsys):

@@ -19,6 +19,7 @@ from qutritxxz.model import (
     ModelParams,
     analytic_spectrum,
     closed_form_levels,
+    diagonal_levels,
     effective_coupling,
     hamiltonian_closed_form,
     hamiltonian_tensor,
@@ -77,6 +78,14 @@ def test_closed_form_levels_overflow_raises():
         closed_form_levels(math.inf, 0.0, 1e200)
     eps, chi1, chi2 = closed_form_levels(1e150, 0.0, 1e150)
     assert all(math.isfinite(x) for x in (*eps, chi1, chi2))
+    # the product-state levels gamma*J +- 2B, with and without coupling
+    for b in (1e308, -1e308):
+        with pytest.raises(OverflowError):
+            closed_form_levels(0.1, b, 1.0)
+        with pytest.raises(OverflowError):
+            diagonal_levels(0.0, b)
+    assert math.isfinite(closed_form_levels(0.1, 8.9e307, 1.0)[0][2])
+    assert diagonal_levels(0.0, 8.9e307)[0] == 1.78e308
 
 
 def test_hf_coupling_domain():

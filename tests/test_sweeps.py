@@ -21,7 +21,7 @@ from qutritxxz.sweeps import (
     figure_preset,
     run_sweep,
 )
-from qutritxxz.thermal import GROUND_DEGENERACY_TOL, levels
+from qutritxxz.thermal import GROUND_DEGENERACY_TOL, level_values, levels
 from qutritxxz.validate import _field_crossings
 
 
@@ -50,6 +50,52 @@ def test_grid_collision_after_rounding_rejected(vary, start, stop):
     # three distinct linspace values round to fewer than three grid values
     with pytest.raises(ValueError, match="collide after rounding"):
         SweepSpec(vary=vary, start=start, stop=stop, steps=3)
+
+
+def _numpy_grid_outcome(vary, start, stop, steps):
+    """What SweepSpec made of a grid with numpy: the grid, or the error."""
+    with np.errstate(all="ignore"):
+        grid = np.round(np.linspace(start, stop, steps), 10)
+        if not np.all(np.diff(grid) > 0):
+            return "collide after rounding"
+    if vary == "T" and not grid[0] > 0:
+        return "must start at T > 0"
+    return grid.tobytes()
+
+
+def test_grid_is_numpy_round_linspace():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for i in range(2000):
+        vary = str(rng.choice(["T", "B", "Dz", "R"]))
+        kind = i % 4
+        if kind == 0:
+            start = float(rng.uniform(-10.0, 10.0))
+            stop = start + float(rng.uniform(1e-6, 20.0))
+        elif kind == 1:
+            # short decimals, as on the command line: grid points cross 0
+            start = round(float(rng.uniform(-5.0, 5.0)), int(rng.integers(0, 4)))
+            stop = start + round(float(rng.uniform(0.01, 8.0)), int(rng.integers(0, 3)))
+        elif kind == 2:
+            start = float(rng.uniform(-1.0, 1.0)) * 10.0 ** rng.uniform(-12, 12)
+            stop = start + 10.0 ** rng.uniform(-12, 12)
+        else:
+            start = float(rng.choice([0.0, 1e-11, 1e-10, -1e300, 1e290]))
+            stop = start + float(rng.choice([1e-11, 1.0, 1e299]))
+        steps = int(rng.choice([2, 3, 11, 161, rng.integers(2, 300)]))
+        if not start < stop:
+            continue
+        expected = _numpy_grid_outcome(vary, start, stop, steps)
+        try:
+            got = np.array(SweepSpec(vary=vary, start=start, stop=stop, steps=steps).grid())
+        except ValueError as exc:
+            assert isinstance(expected, str) and expected in str(exc)
+            seen.add(expected)
+            continue
+        # bytes: the sign of a zero grid value counts too
+        assert got.tobytes() == expected
+        seen.add("grid")
+    assert seen == {"grid", "collide after rounding", "must start at T > 0"}
 
 
 def test_temperature_checks_reject_nan():
@@ -197,9 +243,9 @@ def test_critical_field_takes_two_spectra(monkeypatch):
 
     def counted(p):
         calls.append(p.B)
-        return levels(p)
+        return level_values(p)
 
-    monkeypatch.setattr(sweeps, "levels", counted)
+    monkeypatch.setattr(sweeps, "level_values", counted)
     assert len(detect_critical_field(ModelParams(R=1.0, Dz=1.0), b_max=2.0)) == 2
     assert calls == [0.0, 1.0]
 
@@ -318,7 +364,8 @@ def test_point_path_runs_no_dense_solver(monkeypatch, capsys):
     for module in (matkernel, model, thermal, entanglement, sweeps, cli):
         for name in ("hermitian_eig", "hamiltonian_tensor", "negativity", "partial_transpose",
                      "eigvalsh", "gibbs", "gibbs_analytic", "gibbs_numeric",
-                     "ground_state_mixture"):
+                     "ground_state_mixture", "analytic_spectrum", "levels",
+                     "hamiltonian_closed_form"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     assert [len(res.rows) for res in figure_preset("fig3a")] == [161] * 4
@@ -333,6 +380,24 @@ def test_point_path_runs_no_dense_solver(monkeypatch, capsys):
     assert cli.main(["negativity", "--R", "1", "--Dz", "1", "--B", "0.9", "--T", "0"]) == 0
     assert cli.main(["critical", "--axis", "B", "--R", "1", "--Dz", "1", "--max", "2"]) == 0
     capsys.readouterr()
+
+
+def test_numpy_stays_off_the_point_modules():
+    # the point path, the field scan, the sweep grid and the writers run on
+    # Python floats, and numpy's errstate is needed nowhere
+    src = Path(sweeps.__file__).parent
+    for name in ("sweeps.py", "cli.py", "output.py"):
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "numpy" for m in modules), name
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not (isinstance(node, ast.Attribute) and node.attr == "errstate"), path.name
 
 
 def test_benchmark_span_targets_resolve():
