@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Survey critical magnetic fields and Dz onset values over a grid of
-qubit separations.
+qutrit separations R.
 
 For each R the script reports the ground-level crossings in B (where the
 zero-temperature negativity changes plateau) and the smallest Dz at which
@@ -21,7 +21,7 @@ from qutritxxz.sweeps import NoOnset, detect_critical_dz, detect_critical_field
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--r-values", nargs="+", type=float,
                     default=[0.3, 0.5, 0.6, 0.9, 1.0, 1.25])
     ap.add_argument("--dz", type=float, default=1.0,

@@ -11,14 +11,16 @@ spectra of rho and of its partial transpose whole, by matkernel.eigvalsh.
 The thermal states of the dimer have more structure: ten real numbers and
 the phase theta fix them, and theta drops out of the partial-transpose
 spectrum.  element_negativity takes the negativity from those ten numbers
-alone; it is what the sweeps, scans and the CLI run.
+alone; it is what the sweeps, scans and the CLI run.  numpy is imported
+only by the functions that take a matrix or a coefficient array, so
+importing this module and element_negativity do not load it.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from typing import Literal
-
-import numpy as np
 
 from .matkernel import _jacobi, eigvalsh, is_hermitian
 
@@ -39,6 +41,8 @@ class UnsupportedStructure(ValueError):
 
 def partial_transpose(rho: np.ndarray, subsystem: Subsystem = "first") -> np.ndarray:
     """Transpose one qutrit's indices; an involution, Hermiticity-preserving."""
+    import numpy as np
+
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (9, 9):
         raise ValueError(f"expected a 9x9 matrix, got {rho.shape}")
@@ -60,6 +64,8 @@ class NegativityResult:
 
 def negativity(rho: np.ndarray, subsystem: Subsystem = "first") -> NegativityResult:
     """Sum of |negative eigenvalues| of the partial transpose of rho."""
+    import numpy as np
+
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (9, 9):
         raise InvalidState(f"expected a 9x9 density matrix, got {rho.shape}")
@@ -111,6 +117,8 @@ def pure_state_negativity_oracle(coefficients: np.ndarray) -> float:
 
     Independent of the partial-transpose pipeline; used as a test oracle.
     """
+    import numpy as np
+
     c = np.asarray(coefficients, dtype=complex).reshape(-1)
     if c.shape != (9,):
         raise UnsupportedStructure(f"expected 9 coefficients, got shape {c.shape}")

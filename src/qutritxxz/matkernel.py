@@ -1,6 +1,8 @@
 """Dense complex linear algebra for small Hermitian problems.
 
-Matrices are plain numpy complex128 arrays.  There is one eigensolver,
+Matrices are plain numpy complex128 arrays; numpy is imported inside the
+functions that take or build one, so importing this module does not load
+it (_jacobi itself runs on Python scalars).  There is one eigensolver,
 _jacobi: cyclic Jacobi with unitary 2x2 rotations on Python scalars, which
 is robust and exact enough (off-diagonal norm driven below 1e-14 * ||A||)
 for the 9x9 problems this package cares about.  hermitian_eig runs it with
@@ -10,10 +12,10 @@ carrier; no lapack eigenroutine is called, and the tests alone hold the
 kernel to numpy's LAPACK eigvalsh.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 HERMITICITY_ATOL = 1e-12
 #: target: off-diagonal Frobenius norm below this fraction of ||A||_F
@@ -30,6 +32,8 @@ class NoConvergence(RuntimeError):
 
 
 def asmatrix(a) -> np.ndarray:
+    import numpy as np
+
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
@@ -39,12 +43,14 @@ def asmatrix(a) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
+    import numpy as np
+
     return np.kron(asmatrix(a), asmatrix(b))
 
 
 def is_hermitian(a, atol=HERMITICITY_ATOL) -> bool:
     a = asmatrix(a)
-    return a.shape[0] == a.shape[1] and np.max(np.abs(a - a.conj().T)) <= atol
+    return a.shape[0] == a.shape[1] and abs(a - a.conj().T).max() <= atol
 
 
 @dataclass(frozen=True)
@@ -137,6 +143,8 @@ def hermitian_eig(h) -> EigenDecomposition:
     (_jacobi with the eigenvectors accumulated from the identity), in
     stable ascending order.  The input is not modified; the eigenvectors
     are complex and unitary, and the identity for a zero matrix."""
+    import numpy as np
+
     a = _checked_hermitian(h)
     cols = np.eye(a.shape[0], dtype=complex).tolist()
     w = np.array(_jacobi(a.tolist(), cols))
@@ -148,4 +156,6 @@ def eigvalsh(h) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix by _jacobi, with no
     eigenvectors: the same numbers as hermitian_eig(h).eigenvalues.  The
     input is not modified."""
+    import numpy as np
+
     return np.sort(_jacobi(_checked_hermitian(h).tolist()), kind="stable")

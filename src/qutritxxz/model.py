@@ -11,14 +11,21 @@ g*J + 2B.
 The 9x9 Hamiltonian couples through r = sqrt(Dz^2 + J^2) and the phase
 theta = atan2(Dz, J); its spectrum is known in closed form and is exposed
 by analytic_spectrum alongside the labeled eigenvectors.
+
+The levels themselves (diagonal_levels, closed_form_levels) are Python
+floats.  numpy is imported only by the functions that build a matrix, and
+the spin matrices SPIN_X, SPIN_Y, SPIN_Z, IDENTITY3 and the two-site
+operators of H are built by _operators on first use, so importing this
+module does not load numpy.
 """
 
+from __future__ import annotations
+
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .matkernel import kron
 
@@ -27,23 +34,43 @@ HF_PREFACTOR = 1.642
 HF_RANGE = (0.0, 6.0)
 
 _S2 = 1.0 / math.sqrt(2.0)
-SPIN_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) * _S2
-SPIN_Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) * _S2
-SPIN_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
-IDENTITY3 = np.eye(3, dtype=complex)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+@functools.cache
+def _operators() -> dict:
+    """The spin-1 matrices and the two-site operators of H, read-only, by
+    name: J multiplies XX_PLUS_YY and gamma*J multiplies ZZ, Dz multiplies
+    XY_MINUS_YX and B multiplies Z_TOTAL = Z(x)1 + 1(x)Z.  Built once, on
+    first use; the module attributes of the same names read them here."""
+    import numpy as np
+
+    sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) * _S2
+    sy = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) * _S2
+    sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
+    eye = np.eye(3, dtype=complex)
+    ops = {
+        "SPIN_X": sx, "SPIN_Y": sy, "SPIN_Z": sz, "IDENTITY3": eye,
+        "XX_PLUS_YY": kron(sx, sx) + kron(sy, sy),
+        "ZZ": kron(sz, sz),
+        "XY_MINUS_YX": kron(sx, sy) - kron(sy, sx),
+        "Z_TOTAL": kron(sz, eye) + kron(eye, sz),
+    }
+    for a in ops.values():
+        a.flags.writeable = False
+    return ops
 
 
-#: the two-site operators of H, built once: J multiplies XX+YY and gamma*J
-#: multiplies ZZ, Dz multiplies XY-YX and B multiplies Z(x)1+1(x)Z
-XX_PLUS_YY = _read_only(kron(SPIN_X, SPIN_X) + kron(SPIN_Y, SPIN_Y))
-ZZ = _read_only(kron(SPIN_Z, SPIN_Z))
-XY_MINUS_YX = _read_only(kron(SPIN_X, SPIN_Y) - kron(SPIN_Y, SPIN_X))
-Z_TOTAL = _read_only(kron(SPIN_Z, IDENTITY3) + kron(IDENTITY3, SPIN_Z))
+_OPERATOR_NAMES = ("SPIN_X", "SPIN_Y", "SPIN_Z", "IDENTITY3",
+                   "XX_PLUS_YY", "ZZ", "XY_MINUS_YX", "Z_TOTAL")
+
+
+def __getattr__(name):
+    # PEP 562: model.SPIN_X ... model.Z_TOTAL, built on first access; any
+    # other missing name fails without building them (and loading numpy)
+    if name in _OPERATOR_NAMES:
+        return _operators()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SIGN_CONVENTION_NOTE = (
     "basis |-1,-1>..|1,1> with sz = diag(1,0,-1); the |-1,-1> diagonal "
@@ -131,16 +158,19 @@ def effective_coupling(p: ModelParams) -> EffectiveCoupling:
 
 def hamiltonian_tensor(p: ModelParams) -> np.ndarray:
     """Hamiltonian assembled from the Kronecker products of the spin-1
-    matrices (the module-level two-site operators)."""
-    h = p.J * (XX_PLUS_YY + p.gamma * ZZ)
-    h += p.Dz * XY_MINUS_YX
-    h += p.B * Z_TOTAL
+    matrices (the two-site operators of _operators)."""
+    ops = _operators()
+    h = p.J * (ops["XX_PLUS_YY"] + p.gamma * ops["ZZ"])
+    h += p.Dz * ops["XY_MINUS_YX"]
+    h += p.B * ops["Z_TOTAL"]
     return h
 
 
 def hamiltonian_closed_form(p: ModelParams) -> np.ndarray:
     """Hamiltonian written directly in its sparse 9x9 form with r e^{i theta}
     off-diagonals; must agree entrywise with hamiltonian_tensor."""
+    import numpy as np
+
     gj, b = p.gamma * p.J, p.B
     r, theta, _ = effective_coupling(p)
     z = r * np.exp(1j * theta)
@@ -164,6 +194,8 @@ class AnalyticSpectrum:
     chi2: float
 
     def sorted_eigenvalues(self) -> np.ndarray:
+        import numpy as np
+
         return np.sort(self.eps)
 
 
@@ -206,6 +238,8 @@ def closed_form_levels(gj: float, b: float, r: float):
 
 
 def analytic_spectrum(p: ModelParams) -> AnalyticSpectrum:
+    import numpy as np
+
     r, theta, degenerate = effective_coupling(p)
     if degenerate:
         raise DegenerateCoupling("r = 0: closed-form spectrum unavailable, use the numeric route")

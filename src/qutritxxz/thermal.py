@@ -15,14 +15,17 @@ which checks the closed forms (and the eps9 sign).  Every route takes its
 weights from _weights, as Python floats shifted by eps_min before
 exponentiating, so arbitrarily low temperatures never overflow (math.exp
 of an exponent that overflows is exactly 0, with no warning), and summed
-by math.fsum; beta comes from inverse_temperature, which rejects a T whose
-1/T overflows.
+by math.fsum; at T = inf (beta = 0) every weight is exactly 1.0, even
+where the spread of the levels overflows.  beta comes from
+inverse_temperature, which rejects a T whose 1/T overflows.  numpy is
+imported only by the routes that build rho as a matrix, so thermal_point
+and importing this module do not load it.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .entanglement import element_negativity
 from .matkernel import hermitian_eig
@@ -85,6 +88,8 @@ def levels(p: ModelParams):
     """The nine levels of H (an array) and their unit eigenvectors
     (columns), with no dense solve: analytic_spectrum when r > 0, and the
     basis vectors with diagonal_levels at r = 0."""
+    import numpy as np
+
     try:
         spec = analytic_spectrum(p)
     except DegenerateCoupling:
@@ -95,10 +100,14 @@ def levels(p: ModelParams):
 def _weights(eps, beta: float):
     """Weights of the float levels eps, their math.fsum and eps_min: the
     shifted Boltzmann weights exp(-beta (eps - eps_min)), or at beta = inf
-    the ground-level indicators (1.0 within GROUND_DEGENERACY_TOL of eps_min)."""
+    the ground-level indicators (1.0 within GROUND_DEGENERACY_TOL of eps_min).
+    At beta = 0 every weight is 1.0, which exp(-0 * spread) also gives when
+    the spread is finite; an overflowing spread would make -0 * inf = NaN."""
     eps_min = min(eps)
     if beta == math.inf:
         u = [1.0 if e - eps_min < GROUND_DEGENERACY_TOL else 0.0 for e in eps]
+    elif beta == 0.0:
+        u = [1.0] * len(eps)
     else:
         u = [math.exp(-beta * (e - eps_min)) for e in eps]
     return u, math.fsum(u), eps_min
@@ -116,6 +125,8 @@ def _unshifted_z(zs: float, beta: float, eps_min: float) -> float:
 
 def _spectral_state(eps: np.ndarray, vecs: np.ndarray, beta: float) -> ThermalState:
     """exp(-beta H)/Z (beta = inf: the ground mixture) from levels and unit eigenvectors."""
+    import numpy as np
+
     u, zs, eps_min = _weights(eps.tolist(), beta)
     rho = (vecs * (np.array(u) / zs)) @ vecs.conj().T
     return ThermalState(beta=beta, Z=_unshifted_z(zs, beta, eps_min), rho=rho,
@@ -166,6 +177,8 @@ def _rho_elements(chi1: float, chi2: float, u) -> tuple:
 def _analytic_rho(chi1: float, chi2: float, theta: float, u, zs: float) -> np.ndarray:
     """Closed-form Eq.-style matrix elements: the ten real elements of
     _rho_elements with the phases e^{i theta} and e^{2i theta}."""
+    import numpy as np
+
     r11, r22, r24, r33, r35, r37, r55, r66, r68, r99 = _rho_elements(chi1, chi2, u)
 
     e1 = np.exp(1j * theta)

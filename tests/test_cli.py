@@ -282,6 +282,21 @@ def test_overflow_exits_3(argv, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["negativity", "--J", "0", "--Dz", "0", "--B", "5e307", "--T", "inf"],
+    ["negativity", "--R", "0.5", "--Dz", "1", "--B", "5e307", "--T", "inf"],
+], ids=["r0", "r>0"])
+def test_infinite_temperature_at_overflowing_level_spread(argv, capsys):
+    # gamma*J +- 2B are finite, their difference is not; T = inf is still
+    # the maximally mixed state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    header, line = capsys.readouterr().out.splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert (row["Z"], row["negativity"]) == ("9.0", "0.0")
+
+
 @pytest.mark.parametrize("j", [1e-160, 1e-310])
 def test_spectrum_at_subnormal_coupling(j, capsys):
     # (gamma J)^2 + 8 r^2 is subnormal here; the levels keep their digits

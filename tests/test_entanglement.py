@@ -16,7 +16,7 @@ from qutritxxz.matkernel import hermitian_eig
 from qutritxxz.model import ModelParams, analytic_spectrum
 from qutritxxz.sweeps import figure_preset
 from qutritxxz.thermal import gibbs_analytic, gibbs_numeric, ground_state_mixture
-from qutritxxz.validate import validate
+from qutritxxz.validate import check_headline, validate
 
 from conftest import haar_unitary, random_params
 
@@ -114,6 +114,17 @@ def test_negativity_headline_value():
     n = negativity(ground_state_mixture(p).rho).value
     assert n == pytest.approx(0.9659875012030359, abs=1e-9)
     assert abs(n - 0.9616) < 0.01
+
+
+def test_headline_scalar_routes_record():
+    # the scalar routes of check_headline follow its two existing records
+    checks = check_headline()
+    assert [c.name for c in checks] == ["headline_route_agreement",
+                                        "headline_vs_published_0.9616",
+                                        "headline_scalar_routes"]
+    scalar = checks[2]
+    assert scalar.passed and scalar.tolerance == 1e-12
+    assert "0.965987501203036" in scalar.detail
 
 
 def test_negativity_both_subsystems_agree():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qutritxxz import model
 from qutritxxz.matkernel import hermitian_eig
 from qutritxxz.model import (
     IDENTITY3,
@@ -158,6 +159,17 @@ def test_two_site_operators_are_read_only(op):
     assert op.shape == (9, 9) and not op.flags.writeable
     with pytest.raises(ValueError):
         op[0, 0] = 1.0
+
+
+def test_operators_are_built_once():
+    # the module attributes are read from one cached build, read-only
+    for name in ("SPIN_X", "SPIN_Y", "SPIN_Z", "IDENTITY3",
+                 "XX_PLUS_YY", "ZZ", "XY_MINUS_YX", "Z_TOTAL"):
+        op = getattr(model, name)
+        assert getattr(model, name) is op and not op.flags.writeable
+    assert model.XX_PLUS_YY is XX_PLUS_YY
+    with pytest.raises(AttributeError):
+        model.NOT_AN_OPERATOR
 
 
 def test_top_left_entry():

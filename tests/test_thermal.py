@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from qutritxxz.thermal import (
     gibbs_analytic,
     gibbs_numeric,
     ground_state_mixture,
+    level_values,
     levels,
     partition_function,
     thermal_point,
@@ -331,3 +333,21 @@ def test_tiny_temperature_weights_underflow_without_warnings():
     for state in states:
         assert state.Z == float("inf")
         assert np.max(np.abs(state.rho - ground.rho)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [ModelParams(Dz=0.0, B=5e307, j_override=0.0),
+                               ModelParams(R=0.5, gamma=1.0, Dz=1.0, B=5e307)],
+                         ids=["r0", "r>0"])
+def test_infinite_temperature_with_overflowing_level_spread(p):
+    # the levels are finite but their spread overflows; -0 * inf would make
+    # the weights NaN, and at beta = 0 they are all exactly 1.0
+    eps, _ = level_values(p)
+    assert all(math.isfinite(e) for e in eps) and max(eps) - min(eps) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, ground_energy, n = thermal_point(p, math.inf)
+        state = gibbs(p, math.inf)
+    assert (z, ground_energy, n) == (9.0, min(eps), 0.0)
+    assert (state.Z, state.ground_energy) == (9.0, min(eps))
+    assert np.max(np.abs(state.rho - np.eye(9) / 9)) < 1e-15
+
