@@ -35,7 +35,7 @@ from .sweeps import (
     figure_preset,
     run_sweep,
 )
-from .thermal import level_values
+from .thermal import level_values, log_partition_function
 from .validate import validate
 
 EXIT_OK = 0
@@ -193,7 +193,8 @@ def _cmd_negativity(args):
     p, t = _resolve(args)
     row = {"grid_param": "T", "grid_value": t, **_point(p, t)}
     if args.format == "json":
-        _write(json_text(row), args.out)
+        # ln Z stays finite where Z overflows; the CSV keeps its fixed header
+        _write(json_text({**row, "ln_Z": log_partition_function(p, t)}), args.out)
     else:
         _write(csv_text([row]), args.out)
     return EXIT_OK

@@ -2,14 +2,16 @@
 
 Matrices are plain numpy complex128 arrays; numpy is imported inside the
 functions that take or build one, so importing this module does not load
-it (_jacobi itself runs on Python scalars).  There is one eigensolver,
-_jacobi: cyclic Jacobi with unitary 2x2 rotations on Python scalars, which
-is robust and exact enough (off-diagonal norm driven below 1e-14 * ||A||)
-for the 9x9 problems this package cares about.  hermitian_eig runs it with
-the eigenvectors accumulated; eigvalsh and the negativity of the thermal
-states run it for eigenvalues alone.  numpy is used only as the array
-carrier; no lapack eigenroutine is called, and the tests alone hold the
-kernel to numpy's LAPACK eigvalsh.
+it (_jacobi itself runs on Python scalars).  There is one iterative
+eigensolver, _jacobi: cyclic Jacobi with unitary 2x2 rotations on Python
+scalars, which is robust and exact enough (off-diagonal norm driven below
+1e-14 * ||A||) for the 9x9 problems this package cares about.
+hermitian_eig runs it with the eigenvectors accumulated and eigvalsh for
+eigenvalues alone.  The negativity of the thermal states solves its 3x3
+block in closed form and runs _jacobi only as the fallback where two
+eigenvalues nearly meet (entanglement._eig3).  numpy is used only as the
+array carrier; no lapack eigenroutine is called, and the tests alone hold
+the kernel to numpy's LAPACK eigvalsh.
 """
 
 from __future__ import annotations

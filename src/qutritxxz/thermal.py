@@ -16,7 +16,8 @@ weights from _weights, as Python floats shifted by eps_min before
 exponentiating, so arbitrarily low temperatures never overflow (math.exp
 of an exponent that overflows is exactly 0, with no warning), and summed
 by math.fsum; at T = inf (beta = 0) every weight is exactly 1.0, even
-where the spread of the levels overflows.  beta comes from
+where the spread of the levels overflows.  log_partition_function gives
+ln Z from the same weights, finite where Z overflows.  beta comes from
 inverse_temperature, which rejects a T whose 1/T overflows.  numpy is
 imported only by the routes that build rho as a matrix, so thermal_point
 and importing this module do not load it.
@@ -136,6 +137,18 @@ def _spectral_state(eps: np.ndarray, vecs: np.ndarray, beta: float) -> ThermalSt
 def partition_function(p: ModelParams, T: float) -> float:
     """Z = sum_i exp(-beta eps_i), overflow-safe via the spectral shift."""
     return gibbs(p, T).Z
+
+
+def log_partition_function(p: ModelParams, T: float) -> float:
+    """ln Z = ln zs - beta eps_min, from the same levels and _weights as
+    thermal_point's Z, so exp(ln Z) is Z wherever Z is finite; it stays
+    finite below T ~ 1e-3, where Z overflows.  T = 0 is allowed and gives
+    ln zs, the log of the ground-level degeneracy that T = 0 rows report
+    as Z."""
+    beta = inverse_temperature(T, allow_zero=True)
+    eps, _ = level_values(p)
+    _, zs, eps_min = _weights(eps, beta)
+    return math.log(zs) if beta == math.inf else math.log(zs) - beta * eps_min
 
 
 def gibbs_numeric(p: ModelParams, T: float) -> ThermalState:

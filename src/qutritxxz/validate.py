@@ -228,7 +228,10 @@ def check_negativity_routes(n_draws=100, seed=20240903):
     """negativity(rho) and the closed-form thermal_point vs dense Jacobi
     (hermitian_eig) on the whole partial transpose, for states from every
     route a sweep point can take: the closed form, the numeric fallback at
-    r = 0 and the T = 0 mixture.
+    r = 0 and the T = 0 mixture.  Each draw also takes the states whose 3x3
+    partial-transpose block has nearly equal eigenvalues, where
+    element_negativity falls back to Jacobi: T in [1e3, 1e9], and T = 0 at
+    the exact field crossings in [0, 3] of the drawn couplings.
 
     negativity runs eigvalsh, which is the same _jacobi arithmetic as
     hermitian_eig, so negativity_sector_vs_dense reads 0.0 by construction;
@@ -238,22 +241,31 @@ def check_negativity_routes(n_draws=100, seed=20240903):
 
     rng = np.random.default_rng(seed)
     worst_sector = worst_point = 0.0
+    n_states = 0
     for _ in range(n_draws):
         p = _random_params(rng)
         t = float(rng.uniform(0.01, 5.0))
+        t_high = float(10.0 ** rng.uniform(3.0, 9.0))
         r0 = replace(p, Dz=0.0, j_override=0.0)
-        cases = ((p, t, gibbs_analytic(p, t)),
+        cases = [(p, t, gibbs_analytic(p, t)),
                  (r0, t, gibbs_numeric(r0, t)),
-                 (p, 0.0, ground_state_mixture(p)))
+                 (p, 0.0, ground_state_mixture(p)),
+                 (p, t_high, gibbs_analytic(p, t_high))]
+        for cp in detect_critical_field(p, b_max=3.0):
+            at = replace(p, B=cp.value)
+            cases.append((at, 0.0, ground_state_mixture(at)))
+        n_states += len(cases)
         for params, temperature, state in cases:
             w = hermitian_eig(partial_transpose(state.rho)).eigenvalues
             dense = -float(w[w < -NEGATIVE_EIG_TOL].sum())
             worst_sector = max(worst_sector, abs(negativity(state.rho).value - dense))
             worst_point = max(worst_point, abs(thermal_point(params, temperature)[2] - dense))
+    detail = (f"{n_states} states from {n_draws} draws: T in [0.01, 5] (also at r = 0), "
+              "T = 0, T in [1e3, 1e9] and T = 0 at the field crossings")
     return [Check("negativity_sector_vs_dense", worst_sector < 1e-12, worst_sector, 1e-12,
-                  f"{n_draws} draws x 3 routes, T in [0.01, 5]"),
+                  detail),
             Check("negativity_closed_form_vs_dense", worst_point < 1e-12, worst_point, 1e-12,
-                  f"thermal_point, {n_draws} draws at T > 0, r = 0 and T = 0")]
+                  f"thermal_point, {detail}")]
 
 
 def check_hf_maximum():

@@ -25,6 +25,18 @@ def test_negativity_json(capsys):
     assert 0.0 <= payload["negativity"] <= 1.0
 
 
+def test_negativity_json_ln_z_stays_finite_where_z_overflows(capsys):
+    assert main(["negativity", "--R", "0.5", "--Dz", "1", "--T", "1e-5",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["Z"] == math.inf
+    assert math.isfinite(payload["ln_Z"])
+    assert payload["ln_Z"] == pytest.approx(-payload["ground_energy"] / 1e-5, rel=1e-14)
+    for t, ln_z in (("0", 0.0), ("inf", math.log(9.0))):
+        assert main(["negativity", "--R", "0.5", "--Dz", "1", "--T", t, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ln_Z"] == ln_z
+
+
 def test_spectrum(capsys):
     assert main(["spectrum", "--R", "1", "--Dz", "1", "--B", "1",
                  "--format", "json"]) == 0
@@ -214,7 +226,9 @@ def test_json_and_csv_numbers_agree(argv, capsys):
     payload = json.loads(capsys.readouterr().out)
     if argv[0] == "negativity":
         cells = dict(zip(lines[0].split(","), lines[1].split(",")))
-        numbers = {k: v for k, v in payload.items() if k != "grid_param"}
+        # ln_Z is JSON-only: the CSV keeps its fixed header
+        assert "ln_Z" not in cells
+        numbers = {k: v for k, v in payload.items() if k not in ("grid_param", "ln_Z")}
     else:
         cells = dict(line.split(",") for line in lines[1:10])
         numbers = payload["eigenvalues"]

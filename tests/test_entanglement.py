@@ -1,21 +1,32 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qutritxxz import entanglement
 from qutritxxz.cli import main
 from qutritxxz.entanglement import (
     InvalidState,
     UnsupportedStructure,
+    _eig3,
     element_negativity,
     negativity,
     partial_transpose,
     pure_state_negativity_oracle,
 )
-from qutritxxz.matkernel import hermitian_eig
+from qutritxxz.matkernel import _jacobi, hermitian_eig
 from qutritxxz.model import ModelParams, analytic_spectrum
-from qutritxxz.sweeps import figure_preset
-from qutritxxz.thermal import gibbs_analytic, gibbs_numeric, ground_state_mixture
+from qutritxxz.sweeps import FIGURE_NAMES, detect_critical_field, figure_preset
+from qutritxxz.thermal import (
+    gibbs,
+    gibbs_analytic,
+    gibbs_numeric,
+    ground_state_mixture,
+    thermal_point,
+)
 from qutritxxz.validate import check_headline, validate
 
 from conftest import haar_unitary, random_params
@@ -304,3 +315,110 @@ def test_element_negativity_checks_the_trace():
     n = element_negativity((1.0 / 9,) * 2 + (0.0,) + (1.0 / 9,) + (0.0, 0.0)
                            + (1.0 / 9,) * 2 + (0.0, 1.0 / 9))
     assert n == 0.0 and str(n) == "0.0"
+
+
+@pytest.fixture
+def jacobi_calls(monkeypatch):
+    """The sizes of the matrices element_negativity hands to _jacobi."""
+    calls = []
+
+    def counting(off, cols=None):
+        calls.append(len(off))
+        return _jacobi(off, cols)
+
+    monkeypatch.setattr(entanglement, "_jacobi", counting)
+    return calls
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, 2.5, 1.0 / 9, 1.0 / 3, -3.0])
+def test_eig3_multiple_of_identity(c, jacobi_calls):
+    # p == 0: the diagonal, with no division by p
+    assert _eig3(c, 0.0, 0.0, c, 0.0, c) == [c, c, c]
+    assert jacobi_calls == []
+
+
+def test_infinite_temperature_negativity_is_positive_zero():
+    ninth = 1.0 / 9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ns = [element_negativity((ninth, ninth, 0.0, ninth, 0.0, 0.0, ninth, ninth, 0.0, ninth)),
+              thermal_point(ModelParams(R=0.5, Dz=1.0, B=0.3), math.inf)[2]]
+    for n in ns:
+        assert n == 0.0 and str(n) == "0.0"
+
+
+def test_eig3_repeated_eigenvalue_falls_back(jacobi_calls):
+    # the block of the maximally entangled state: 1/3 twice and -1/3
+    third = 1.0 / 3.0
+    w = sorted(_eig3(0.0, 0.0, third, third, 0.0, 0.0))
+    assert w == pytest.approx([-third, third, third], abs=1e-15)
+    assert jacobi_calls == [3]
+
+
+@pytest.mark.parametrize("block, exact", [
+    # det((A - qI)/p)/2 rounds to 1 + 4.4e-16 and to -1 - 4.4e-16 here
+    ((0.1, 0.0, 0.0, 0.1, 0.0, 1.0 / 3), [0.1, 0.1, 1.0 / 3]),
+    ((0.1, 0.0, 0.0, 0.1, 0.0, 0.05), [0.05, 0.1, 0.1]),
+])
+def test_eig3_clamps_r_outside_the_unit_interval(block, exact, jacobi_calls, monkeypatch):
+    assert sorted(_eig3(*block)) == pytest.approx(exact, abs=1e-16)
+    assert jacobi_calls == [3]
+    # with the fallback off, the clamp alone keeps acos in its domain
+    monkeypatch.setattr(entanglement, "EIG3_FALLBACK_CUT", -math.inf)
+    assert sorted(_eig3(*block)) == pytest.approx(exact, abs=1e-15)
+    assert jacobi_calls == [3]
+
+
+def test_eig3_entries_near_1e_300(jacobi_calls):
+    # p^2 and p^3 would underflow: p is a hypot and the determinant is of (A - qI)/p
+    a = np.array([[1.0, 0.5, 0.2], [0.5, 2.0, 0.3], [0.2, 0.3, 3.5]])
+    w = sorted(_eig3(*(1e-300 * a[i, k] for i, k in ((0, 0), (0, 1), (0, 2),
+                                                     (1, 1), (1, 2), (2, 2)))))
+    assert np.allclose(np.array(w) * 1e300, np.linalg.eigvalsh(a), rtol=1e-13, atol=0.0)
+    assert jacobi_calls == []
+
+
+def test_eig3_well_separated_block_runs_no_jacobi(jacobi_calls):
+    p = ModelParams(R=0.5, Dz=1.0, B=0.3)
+    for T in (0.5, 0.1, 2.0):
+        rho = gibbs(p, T).rho
+        assert thermal_point(p, T)[2] == pytest.approx(negativity(rho).value, abs=1e-14)
+    assert jacobi_calls == []
+
+
+def test_eig3_fallback_is_rare_on_the_figure_rows(jacobi_calls):
+    rows = sum(len(res.rows) for name in FIGURE_NAMES for res in figure_preset(name))
+    assert rows == 4415
+    # 328 rows (7.4%) fall back; a wrong cut would send most of them to Jacobi
+    assert 0 < len(jacobi_calls) < 0.15 * rows
+
+
+near_degenerate = st.tuples(
+    st.sampled_from(["random", "tiny r"]),
+    st.sampled_from(["T in [0.01, 5]", "T up to 1e9", "T = inf", "T = 0", "crossing"]),
+    st.floats(0.05, 6.0), st.floats(-2.0, 2.0), st.floats(-3.0, 3.0), st.floats(0.0, 3.0),
+    st.floats(0.01, 5.0), st.floats(0.0, 9.0), st.floats(-9.0, 0.0), st.integers(0, 8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_degenerate)
+def test_element_negativity_matches_lapack_near_degenerate_blocks(draw):
+    coupling, regime, R, gamma, Dz, B, T, log_t, log_r, k = draw
+    p = ModelParams(R=R, gamma=gamma, Dz=Dz, B=B)
+    if coupling == "tiny r":
+        p = ModelParams(gamma=gamma, Dz=10.0 ** log_r * math.copysign(1.0, Dz), B=B,
+                        j_override=10.0 ** (log_r - 0.5))
+    if regime == "T up to 1e9":
+        T = 10.0 ** log_t
+    elif regime == "T = inf":
+        T = math.inf
+    elif regime in ("T = 0", "crossing"):
+        T = 0.0
+        crossings = detect_critical_field(p, b_max=5.0) if regime == "crossing" else []
+        if crossings:
+            p = replace(p, B=crossings[k % len(crossings)].value)
+    rho = ground_state_mixture(p).rho if T == 0.0 else gibbs(p, T).rho
+    w = np.linalg.eigvalsh(partial_transpose(rho))
+    lapack = -float(w[w < -1e-12].sum())
+    assert thermal_point(p, T)[2] == pytest.approx(lapack, abs=1e-12)

@@ -22,6 +22,7 @@ from qutritxxz.thermal import (
     ground_state_mixture,
     level_values,
     levels,
+    log_partition_function,
     partition_function,
     thermal_point,
 )
@@ -288,6 +289,34 @@ def test_thermal_point_z_and_ground_energy_are_those_of_the_state_routes(rng):
             z, ground_energy, n = thermal_point(p, T)
             assert (z, ground_energy) == (state.Z, state.ground_energy)
             assert n == pytest.approx(negativity(state.rho).value, abs=1e-14)
+
+
+def test_ln_z_is_the_log_of_z(rng):
+    for i in range(200):
+        p = random_params(rng)
+        if i % 5 == 0:
+            p = ModelParams(gamma=p.gamma, Dz=0.0, B=p.B, j_override=0.0)
+        for T in (float(rng.uniform(0.01, 5.0)), 10.0 ** rng.uniform(-4.0, 9.0)):
+            z, ln_z = thermal_point(p, T)[0], log_partition_function(p, T)
+            assert math.isfinite(ln_z)
+            if math.isfinite(z):
+                # exp(ln_z) can hit Z no closer than the spacing of the
+                # floats at ln_z: |ln_z| 2^-52, above 1e-14 for |ln_z| > 45
+                tol = max(1e-14, abs(ln_z) * 2.0 ** -52)
+                assert abs(math.exp(ln_z) - z) <= tol * z
+        # T = 0: the log of the ground-level degeneracy that Z reports
+        assert log_partition_function(p, 0.0) == math.log(thermal_point(p, 0.0)[0])
+        assert log_partition_function(p, math.inf) == math.log(9.0)
+
+
+def test_ln_z_where_z_overflows():
+    p = ModelParams(R=0.5, Dz=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, ground_energy, _ = thermal_point(p, 1e-5)
+        ln_z = log_partition_function(p, 1e-5)
+    assert z == math.inf and math.isfinite(ln_z)
+    assert ln_z == pytest.approx(-ground_energy / 1e-5, rel=1e-15)
 
 
 def test_thermal_point_at_r0_is_separable_positive_zero():
