@@ -119,9 +119,14 @@ def build_parser():
 def _load_config(path):
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise DomainError(f"config must be a JSON object, got {type(cfg).__name__}")
     unknown = set(cfg) - set(_PARAM_KEYS)
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DomainError(f"config value {key} must be a number, got {value!r}")
     return cfg
 
 

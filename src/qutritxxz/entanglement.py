@@ -143,11 +143,14 @@ def element_negativity(elements) -> float:
     [[r11, r24, r37], [r24, r55, r68], [r37, r68, r99]] (m1 - m2 = 0), from
     _eig3.  The phases are a diagonal unitary gauge of each block, so theta
     drops out.  Eigenvalues are counted and summed as in negativity.
+    InvalidState where the trace is not 1 or an off-diagonal is not finite.
     """
     r11, r22, r24, r33, r35, r37, r55, r66, r68, r99 = elements
     trace = r11 + r55 + r99 + 2.0 * (r22 + r33 + r66)
     if not abs(trace - 1.0) <= STATE_TOL:
         raise InvalidState(f"trace is {trace}, expected 1")
+    if not math.isfinite(r24 + r35 + r37 + r68):
+        raise InvalidState("an off-diagonal element is not finite")
     mid = 0.5 * (r22 + r66)
     rad = math.hypot(0.5 * (r22 - r66), r35)
     w = [r33, r33, mid - rad, mid - rad, mid + rad, mid + rad]

@@ -1,26 +1,28 @@
 """Gibbs state rho(T) = exp(-beta H)/Z and its T = 0 limit.
 
-thermal_point is the point evaluator of sweeps, scans and the CLI: it
-returns (Z, ground energy, negativity) from the nine levels as floats
-(level_values) and the ten real elements of rho that its partial transpose
-is made of (entanglement.element_negativity), with no numpy.  The states
-themselves come from the same levels: gibbs_analytic assembles the
-closed-form matrix elements from them and chi1, chi2; ground_state_mixture,
-and gibbs at r = 0 (H diagonal), take the labelled eigenvectors (levels).
-They are the entry points for the state itself and the references the
-evaluator is checked against.  gibbs_numeric diagonalizes the
-tensor-product Hamiltonian with the Jacobi kernel; it is the independent
-reference that validate and the tests compare against, entrywise to 1e-10,
-which checks the closed forms (and the eps9 sign).  Every route takes its
-weights from _weights, as Python floats shifted by eps_min before
-exponentiating, so arbitrarily low temperatures never overflow (math.exp
-of an exponent that overflows is exactly 0, with no warning), and summed
-by math.fsum; at T = inf (beta = 0) every weight is exactly 1.0, even
-where the spread of the levels overflows.  log_partition_function gives
-ln Z from the same weights, finite where Z overflows.  beta comes from
-inverse_temperature, which rejects a T whose 1/T overflows.  numpy is
-imported only by the routes that build rho as a matrix, so thermal_point
-and importing this module do not load it.
+For every coupling r >= 0 and every T >= 0 the state is ten real numbers
+and the phase theta, and _state is its one construction: it reads the
+nine levels as floats (level_values), weights them (_weights) and returns
+Z, the ground energy and the ten elements (r11, r22, r24, r33, r35, r37,
+r55, r66, r68, r99) of rho, from chi1, chi2 when r > 0 (_rho_elements)
+and from the basis weights at r = 0, where H and rho are diagonal.  Every
+route reads it: thermal_point takes the negativity of the elements
+(entanglement.element_negativity) with no matrix and no numpy; gibbs and
+ground_state_mixture (beta = inf) expand them into the 9x9 matrix
+(_analytic_rho); partition_function reads Z.  gibbs_numeric diagonalizes
+the tensor-product Hamiltonian with the Jacobi kernel; it is the
+independent reference that validate and the tests compare against,
+entrywise to 1e-10, which checks the closed forms (and the eps9 sign).
+Every route takes its weights from _weights, as Python floats shifted by
+eps_min before exponentiating, so arbitrarily low temperatures never
+overflow (math.exp of an exponent that overflows is exactly 0, with no
+warning), and summed by math.fsum; at T = inf (beta = 0) every weight is
+exactly 1.0, even where the spread of the levels overflows.
+log_partition_function gives ln Z from the same weights, finite where Z
+overflows.  beta comes from inverse_temperature, which rejects a T whose
+1/T overflows.  numpy is imported only by the routes that build rho as a
+matrix, so thermal_point, partition_function and importing this module do
+not load it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .model import (
     DegenerateCoupling,
     DomainError,
     ModelParams,
-    analytic_spectrum,
     closed_form_levels,
     diagonal_levels,
     effective_coupling,
@@ -85,19 +86,6 @@ def level_values(p: ModelParams):
     return eps, (chi1, chi2)
 
 
-def levels(p: ModelParams):
-    """The nine levels of H (an array) and their unit eigenvectors
-    (columns), with no dense solve: analytic_spectrum when r > 0, and the
-    basis vectors with diagonal_levels at r = 0."""
-    import numpy as np
-
-    try:
-        spec = analytic_spectrum(p)
-    except DegenerateCoupling:
-        return np.array(diagonal_levels(p.gamma * p.J, p.B)), np.eye(9, dtype=complex)
-    return spec.eps, spec.vecs
-
-
 def _weights(eps, beta: float):
     """Weights of the float levels eps, their math.fsum and eps_min: the
     shifted Boltzmann weights exp(-beta (eps - eps_min)), or at beta = inf
@@ -124,19 +112,9 @@ def _unshifted_z(zs: float, beta: float, eps_min: float) -> float:
     return zs * math.exp(x) if x < 700.0 else math.inf
 
 
-def _spectral_state(eps: np.ndarray, vecs: np.ndarray, beta: float) -> ThermalState:
-    """exp(-beta H)/Z (beta = inf: the ground mixture) from levels and unit eigenvectors."""
-    import numpy as np
-
-    u, zs, eps_min = _weights(eps.tolist(), beta)
-    rho = (vecs * (np.array(u) / zs)) @ vecs.conj().T
-    return ThermalState(beta=beta, Z=_unshifted_z(zs, beta, eps_min), rho=rho,
-                        ground_energy=eps_min)
-
-
 def partition_function(p: ModelParams, T: float) -> float:
     """Z = sum_i exp(-beta eps_i), overflow-safe via the spectral shift."""
-    return gibbs(p, T).Z
+    return _state(p, inverse_temperature(T))[0]
 
 
 def log_partition_function(p: ModelParams, T: float) -> float:
@@ -153,9 +131,15 @@ def log_partition_function(p: ModelParams, T: float) -> float:
 
 def gibbs_numeric(p: ModelParams, T: float) -> ThermalState:
     """exp(-beta H)/Z through the numeric eigensolver."""
+    import numpy as np
+
     beta = inverse_temperature(T)
     dec = hermitian_eig(hamiltonian_tensor(p))
-    return _spectral_state(dec.eigenvalues, dec.eigenvectors, beta)
+    vecs = dec.eigenvectors
+    u, zs, eps_min = _weights(dec.eigenvalues.tolist(), beta)
+    rho = (vecs * (np.array(u) / zs)) @ vecs.conj().T
+    return ThermalState(beta=beta, Z=_unshifted_z(zs, beta, eps_min), rho=rho,
+                        ground_energy=eps_min)
 
 
 def _rho_elements(chi1: float, chi2: float, u) -> tuple:
@@ -187,12 +171,29 @@ def _rho_elements(chi1: float, chi2: float, u) -> tuple:
     )
 
 
-def _analytic_rho(chi1: float, chi2: float, theta: float, u, zs: float) -> np.ndarray:
-    """Closed-form Eq.-style matrix elements: the ten real elements of
-    _rho_elements with the phases e^{i theta} and e^{2i theta}."""
+def _state(p: ModelParams, beta: float) -> tuple:
+    """(Z, ground_energy, elements) of exp(-beta H)/Z, or at beta = inf of
+    the ground-level mixture: the ten real elements of rho, in the order of
+    _rho_elements.  At r = 0, H and rho are diagonal in the product basis,
+    and the elements are the basis weights: the swapped product states
+    |a,b> and |b,a> have equal levels, so the weights fill the diagonal of
+    _analytic_rho exactly."""
+    eps, chi = level_values(p)
+    u, zs, eps_min = _weights(eps, beta)
+    if chi is None:
+        u1, u2, u3, _, u5, u6, _, _, u9 = u
+        elements = (u1, u2, 0.0, u3, 0.0, 0.0, u5, u6, 0.0, u9)
+    else:
+        elements = _rho_elements(*chi, u)
+    return _unshifted_z(zs, beta, eps_min), eps_min, tuple(x / zs for x in elements)
+
+
+def _analytic_rho(elements, theta: float) -> np.ndarray:
+    """The 9x9 rho from its ten real elements, with the phases e^{i theta}
+    and e^{2i theta} on the off-diagonals."""
     import numpy as np
 
-    r11, r22, r24, r33, r35, r37, r55, r66, r68, r99 = _rho_elements(chi1, chi2, u)
+    r11, r22, r24, r33, r35, r37, r55, r66, r68, r99 = elements
 
     e1 = np.exp(1j * theta)
     e2 = np.exp(2j * theta)
@@ -205,57 +206,45 @@ def _analytic_rho(chi1: float, chi2: float, theta: float, u, zs: float) -> np.nd
     rho[5, 7] = e1 * r68
     for i, k in [(1, 3), (2, 4), (2, 6), (4, 6), (5, 7)]:
         rho[k, i] = np.conj(rho[i, k])
-    return rho / zs
+    return rho
+
+
+def _thermal_state(p: ModelParams, beta: float) -> ThermalState:
+    """_state at beta with rho expanded into its 9x9 matrix."""
+    z, ground_energy, elements = _state(p, beta)
+    return ThermalState(beta=beta, Z=z, rho=_analytic_rho(elements, p.theta),
+                        ground_energy=ground_energy)
 
 
 def gibbs_analytic(p: ModelParams, T: float) -> ThermalState:
-    """exp(-beta H)/Z from the closed-form matrix elements."""
+    """gibbs, for r > 0 only: DegenerateCoupling at r = 0."""
     beta = inverse_temperature(T)
-    r, theta, degenerate = effective_coupling(p)
-    if degenerate:
+    if effective_coupling(p).degenerate:
         raise DegenerateCoupling("r = 0: closed forms unavailable, use gibbs_numeric")
-    eps, chi1, chi2 = closed_form_levels(p.gamma * p.J, p.B, r)
-    u, zs, eps_min = _weights(eps, beta)
-    rho = _analytic_rho(chi1, chi2, theta, u, zs)
-    return ThermalState(beta=beta, Z=_unshifted_z(zs, beta, eps_min), rho=rho,
-                        ground_energy=eps_min)
+    return _thermal_state(p, beta)
 
 
 def gibbs(p: ModelParams, T: float) -> ThermalState:
-    """Closed-form route; at r = 0 the diagonal Boltzmann weights of the
-    closed-form levels.
+    """exp(-beta H)/Z from the closed-form elements, at every r.
 
     T must be positive; NaN is rejected.  T = inf is beta = 0, the
     maximally mixed state 1/9 with Z = 9.
     """
-    try:
-        return gibbs_analytic(p, T)
-    except DegenerateCoupling:
-        return _spectral_state(*levels(p), inverse_temperature(T))
+    return _thermal_state(p, inverse_temperature(T))
 
 
 def ground_state_mixture(p: ModelParams) -> ThermalState:
     """T = 0 limit: equal-weight mixture over the (possibly degenerate)
     ground level of the closed-form levels.  At a level crossing this is
     honestly rank-deficient."""
-    return _spectral_state(*levels(p), math.inf)
+    return _thermal_state(p, math.inf)
 
 
 def thermal_point(p: ModelParams, T: float) -> tuple:
     """(Z, ground_energy, negativity) of gibbs(p, T), or at T = 0 of
-    ground_state_mixture(p), with no 9x9 matrix.
-
-    Z and ground_energy come from the same levels, in the same order and
-    through the same _weights, as in those two routes, so they agree bit for
-    bit.  The negativity comes from the ten real elements of rho
-    (element_negativity).  At r = 0, rho is diagonal, so its partial
-    transpose is rho itself and N = +0.0.
+    ground_state_mixture(p), with no 9x9 matrix: the same _state, and the
+    negativity of its ten elements (element_negativity).  At r = 0, rho is
+    diagonal, so its partial transpose is rho itself and N = +0.0.
     """
-    beta = inverse_temperature(T, allow_zero=True)
-    eps, chi = level_values(p)
-    u, zs, eps_min = _weights(eps, beta)
-    z = _unshifted_z(zs, beta, eps_min)
-    if chi is None:
-        return z, eps_min, 0.0
-    elements = _rho_elements(*chi, u)
-    return z, eps_min, element_negativity([x / zs for x in elements])
+    z, ground_energy, elements = _state(p, inverse_temperature(T, allow_zero=True))
+    return z, ground_energy, element_negativity(elements)

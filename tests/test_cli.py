@@ -268,6 +268,17 @@ def test_config_unknown_key(tmp_path, capsys):
     assert main(["negativity", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("text", ['[]', '"x"', '{"B": "1"}', '{"gamma": [1]}',
+                                  '{"B": null}', '{"R": true}', '{"T": false}'])
+def test_config_rejects_what_is_not_an_object_of_numbers(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["negativity", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert "unknown config keys" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["negativity", "--R", "1e200"],
     ["spectrum", "--R", "1e200"],

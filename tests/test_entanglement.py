@@ -317,6 +317,16 @@ def test_element_negativity_checks_the_trace():
     assert n == 0.0 and str(n) == "0.0"
 
 
+@pytest.mark.parametrize("index", [2, 4, 5, 8], ids=["r24", "r35", "r37", "r68"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_element_negativity_rejects_non_finite_off_diagonals(index, x):
+    # the trace holds no off-diagonal, so it cannot catch these
+    el = [1.0 / 9, 1.0 / 9, 0.0, 1.0 / 9, 0.0, 0.0, 1.0 / 9, 1.0 / 9, 0.0, 1.0 / 9]
+    el[index] = x
+    with pytest.raises(InvalidState, match="not finite"):
+        element_negativity(el)
+
+
 @pytest.fixture
 def jacobi_calls(monkeypatch):
     """The sizes of the matrices element_negativity hands to _jacobi."""

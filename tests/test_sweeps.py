@@ -21,7 +21,7 @@ from qutritxxz.sweeps import (
     figure_preset,
     run_sweep,
 )
-from qutritxxz.thermal import GROUND_DEGENERACY_TOL, level_values, levels
+from qutritxxz.thermal import GROUND_DEGENERACY_TOL, level_values
 from qutritxxz.validate import _field_crossings
 
 
@@ -180,8 +180,12 @@ def test_critical_field_none_without_coupling():
         assert cp.value < 1e-2
 
 
+def _levels(p: ModelParams) -> np.ndarray:
+    return np.array(level_values(p)[0])
+
+
 def _ground_set(p: ModelParams, b: float) -> frozenset:
-    eps = levels(replace(p, B=b))[0]
+    eps = _levels(replace(p, B=b))
     return frozenset(np.flatnonzero(eps - eps.min() < GROUND_DEGENERACY_TOL).tolist())
 
 
@@ -194,9 +198,9 @@ def test_critical_field_is_the_lower_envelope(seed, kind):
     elif kind == "tied_at_zero":
         p = replace(p, gamma=-1.0, Dz=0.0)
     # every level is affine in B
-    c = levels(replace(p, B=0.0))[0]
-    s = np.rint(levels(replace(p, B=1.0))[0] - c)
-    assert np.max(np.abs(levels(p)[0] - (c + s * p.B))) < 1e-12
+    c = _levels(replace(p, B=0.0))
+    s = np.rint(_levels(replace(p, B=1.0)) - c)
+    assert np.max(np.abs(_levels(p) - (c + s * p.B))) < 1e-12
     b_max = 5.0
     points = detect_critical_field(p, b_max=b_max)
     found = [cp.value for cp in points]
@@ -221,7 +225,7 @@ def test_critical_field_exact_cases():
     # gamma J = -r: eps2, eps3, eps4, eps7 and eps9 all equal -r at B = 0,
     # and eps4 (slope -2) is the ground level for every B > 0
     p = ModelParams(R=1.0, gamma=-1.0, Dz=0.0)
-    eps = levels(p)[0]
+    eps = _levels(p)
     assert _ground_set(p, 0.0) == {1, 2, 3, 6, 8}
     assert np.max(np.abs(eps[[1, 2, 3, 6, 8]] + p.r)) < 1e-15
     assert [cp.value for cp in detect_critical_field(p, b_max=2.0)] == [0.0]
@@ -364,7 +368,7 @@ def test_point_path_runs_no_dense_solver(monkeypatch, capsys):
     for module in (matkernel, model, thermal, entanglement, sweeps, cli):
         for name in ("hermitian_eig", "hamiltonian_tensor", "negativity", "partial_transpose",
                      "eigvalsh", "gibbs", "gibbs_analytic", "gibbs_numeric",
-                     "ground_state_mixture", "analytic_spectrum", "levels",
+                     "ground_state_mixture", "analytic_spectrum", "_analytic_rho",
                      "hamiltonian_closed_form"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)

@@ -21,7 +21,6 @@ from qutritxxz.thermal import (
     gibbs_numeric,
     ground_state_mixture,
     level_values,
-    levels,
     log_partition_function,
     partition_function,
     thermal_point,
@@ -212,8 +211,7 @@ def test_r0_routes_match_jacobi(rng):
         assert np.max(np.abs(fast.rho - ref.rho)) < 1e-15
         assert fast.Z == pytest.approx(ref.Z, rel=1e-15)
         assert fast.ground_energy == ref.ground_energy
-        eps, vecs = levels(p)
-        assert np.array_equal(vecs, np.eye(9))
+        eps = np.array(level_values(p)[0])
         assert np.array_equal(np.sort(eps), hermitian_eig(hamiltonian_tensor(p)).eigenvalues)
         assert ground_state_mixture(p).ground_energy == eps.min()
 
@@ -279,16 +277,20 @@ def test_thermal_point_matches_dense_route(draw):
 
 
 def test_thermal_point_z_and_ground_energy_are_those_of_the_state_routes(rng):
-    # bit for bit: the CSV columns Z and ground_energy must not change
+    # bit for bit: the CSV columns Z and ground_energy must not change, and
+    # every route reads the same state at every r (r = 0 included) and T
     for i in range(40):
         p = random_params(rng)
         if i % 4 == 0:
             p = ModelParams(gamma=p.gamma, Dz=0.0, B=p.B, j_override=0.0)
         t = float(rng.uniform(0.01, 5.0))
-        for T, state in ((t, gibbs(p, t)), (0.0, ground_state_mixture(p))):
+        for T, state in ((t, gibbs(p, t)), (math.inf, gibbs(p, math.inf)),
+                         (0.0, ground_state_mixture(p))):
             z, ground_energy, n = thermal_point(p, T)
             assert (z, ground_energy) == (state.Z, state.ground_energy)
             assert n == pytest.approx(negativity(state.rho).value, abs=1e-14)
+            if T > 0.0:
+                assert partition_function(p, T) == z
 
 
 def test_ln_z_is_the_log_of_z(rng):
