@@ -43,8 +43,8 @@ def main(argv=None):
             onset = detect_critical_dz(ModelParams(R=r, B=args.b),
                                        T=args.temperature)
             onset_text = f"{onset.value:.6f}"
-        except NoOnset:
-            onset_text = "entangled already at Dz = 0"
+        except NoOnset as exc:
+            onset_text = str(exc)
         print(f"{r:>6.2f}  {crossings:<34}  {onset_text}")
     return 0
 

@@ -12,11 +12,9 @@ import re
 import sys
 
 from . import __version__
-from .entanglement import InvalidState
-from .matkernel import NoConvergence, NotHermitian, eigvalsh
+from .matkernel import NoConvergence, eigvalsh
 from .model import (
     HF_RANGE,
-    DegenerateCoupling,
     DomainError,
     ModelParams,
     effective_coupling,
@@ -25,6 +23,7 @@ from .model import (
 from .output import _fmt, csv_text, emit_csv, emit_svg, json_text, write_text
 from .sweeps import (
     FIGURE_NAMES,
+    FIGURE_PRESETS,
     ONSET_THRESHOLD,
     NoOnset,
     SweepError,
@@ -127,6 +126,10 @@ def _load_config(path):
     for key, value in cfg.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DomainError(f"config value {key} must be a number, got {value!r}")
+        try:
+            cfg[key] = float(value)
+        except OverflowError:
+            raise DomainError(f"config value {key} is too large for a float") from None
     return cfg
 
 
@@ -205,13 +208,12 @@ def _cmd_negativity(args):
     return EXIT_OK
 
 
-def _emit(results, args):
+def _emit(results, args, y="negativity"):
     if args.out:
         emit_csv(results, args.out)
     else:
         sys.stdout.write(csv_text(row for res in results for row in res.rows))
     if args.svg:
-        y = "J" if results[0].rows and results[0].meta.get("label") == "J(R)" else "negativity"
         emit_svg(results, args.svg, y_column=y)
 
 
@@ -224,7 +226,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_figure(args):
-    _emit(figure_preset(args.name), args)
+    _emit(figure_preset(args.name), args, y=FIGURE_PRESETS[args.name].y)
     return EXIT_OK
 
 
@@ -279,12 +281,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DomainError, DegenerateCoupling, InvalidState, ValueError,
-            OSError, json.JSONDecodeError) as exc:
+    # ValueError covers DomainError, DegenerateCoupling, InvalidState and a bad JSON config
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoConvergence, NotHermitian, SweepError, FloatingPointError,
-            OverflowError) as exc:
+    except (NoConvergence, SweepError, FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -15,6 +15,8 @@ from .sweeps import CSV_COLUMNS, SweepResult
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
+#: chart size and plot-area margin, in pixels
+_WIDTH, _HEIGHT, _MARGIN = 640, 480, 60
 
 
 def write_text(path, text: str) -> None:
@@ -86,13 +88,11 @@ def emit_csv(result, path) -> None:
         raise OSError(f"failed writing {path}: {exc}") from exc
 
 
-def emit_svg(result, path, y_column: str = "negativity",
-             width: int = 640, height: int = 480) -> None:
+def emit_svg(result, path, y_column: str = "negativity") -> None:
     """Polyline chart of y_column against the grid value, one curve per
     sweep result."""
     results = _results(result)
     path = Path(path)
-    margin = 60
     xs = [row["grid_value"] for res in results for row in res.rows]
     ys = [row[y_column] for res in results for row in res.rows]
     x_lo, x_hi = min(xs), max(xs)
@@ -103,29 +103,30 @@ def emit_svg(result, path, y_column: str = "negativity",
         y_hi = y_lo + 1.0
 
     def px(x):
-        return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+        return _MARGIN + (x - x_lo) / (x_hi - x_lo) * (_WIDTH - 2 * _MARGIN)
 
     def py(y):
-        return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+        return _HEIGHT - _MARGIN - (y - y_lo) / (y_hi - y_lo) * (_HEIGHT - 2 * _MARGIN)
 
     x_label = results[0].rows[0]["grid_param"] if results and results[0].rows else "x"
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<text x="{width // 2}" y="{height - margin // 4}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<line x1="{_MARGIN}" y1="{_HEIGHT - _MARGIN}" x2="{_WIDTH - _MARGIN}" '
+        f'y2="{_HEIGHT - _MARGIN}" stroke="black"/>',
+        f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" '
+        f'y2="{_HEIGHT - _MARGIN}" stroke="black"/>',
+        f'<text x="{_WIDTH // 2}" y="{_HEIGHT - _MARGIN // 4}" '
         f'text-anchor="middle" font-size="14">{x_label}</text>',
-        f'<text x="{margin // 4}" y="{height // 2}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 {margin // 4} {height // 2})">{y_column}</text>',
-        f'<text x="{margin}" y="{height - margin + 16}" font-size="11">{_fmt(float(x_lo))}</text>',
-        f'<text x="{width - margin}" y="{height - margin + 16}" text-anchor="end" '
+        f'<text x="{_MARGIN // 4}" y="{_HEIGHT // 2}" text-anchor="middle" font-size="14" '
+        f'transform="rotate(-90 {_MARGIN // 4} {_HEIGHT // 2})">{y_column}</text>',
+        f'<text x="{_MARGIN}" y="{_HEIGHT - _MARGIN + 16}" '
+        f'font-size="11">{_fmt(float(x_lo))}</text>',
+        f'<text x="{_WIDTH - _MARGIN}" y="{_HEIGHT - _MARGIN + 16}" text-anchor="end" '
         f'font-size="11">{_fmt(float(x_hi))}</text>',
-        f'<text x="{margin - 4}" y="{height - margin}" text-anchor="end" '
+        f'<text x="{_MARGIN - 4}" y="{_HEIGHT - _MARGIN}" text-anchor="end" '
         f'font-size="11">{_fmt(float(y_lo))}</text>',
-        f'<text x="{margin - 4}" y="{margin}" text-anchor="end" '
+        f'<text x="{_MARGIN - 4}" y="{_MARGIN}" text-anchor="end" '
         f'font-size="11">{_fmt(float(y_hi))}</text>',
     ]
     for k, res in enumerate(results):
@@ -135,7 +136,7 @@ def emit_svg(result, path, y_column: str = "negativity",
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         label = res.meta.get("label")
         if label:
-            parts.append(f'<text x="{width - margin + 4}" y="{margin + 16 * k}" '
+            parts.append(f'<text x="{_WIDTH - _MARGIN + 4}" y="{_MARGIN + 16 * k}" '
                          f'font-size="11" fill="{color}">{label}</text>')
     parts.append("</svg>")
     try:

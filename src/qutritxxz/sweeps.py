@@ -8,11 +8,13 @@ the exact ground-level mixture, which makes the field-sweep entanglement
 plateaus sharp instead of smeared by a tiny temperature.
 The T = 0 critical fields, where those plateaus jump, are exact; the
 finite-T Dz onset is stepped and bisected.
+The published figures are one table, FIGURE_PRESETS: per figure the grid,
+the fixed parameters, the curve family and the plotted column.
 """
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .model import SIGN_CONVENTION_NOTE, ModelParams, effective_coupling
@@ -214,67 +216,55 @@ def detect_critical_dz(p: ModelParams, T: float, dz_max: float = 10.0,
                          kind="NegativityOnset", bracket=(lo, hi))
 
 
-# Figure presets.  Curve-family values the captions leave open are fixed
-# choices; they are echoed into each SweepResult's meta.
-_DEFAULT = ModelParams(R=0.5, gamma=1.0, Dz=1.0, B=0.0)
+class Preset(NamedTuple):
+    """One published figure: a sweep grid, the parameters held fixed, and
+    its curves as (label, overrides) pairs; an override of "T" sets that
+    curve's sweep temperature.  y is the column the figure plots."""
+
+    vary: str
+    start: float
+    stop: float
+    steps: int
+    fixed: ModelParams
+    curves: tuple
+    T: float = 1.0
+    y: str = "negativity"
+
+
+def _family(key: str, values) -> tuple:
+    return tuple((f"{key}={v}", {key: v}) for v in values)
+
+
+# Curve-family values the captions leave open are fixed choices; they are
+# echoed into each SweepResult's meta.  fig1's grid step 0.05 puts the HF
+# maximum R = 1.25 on-grid.
+_mk = ModelParams
+FIGURE_PRESETS = {
+    "fig1": Preset("R", 0.05, 8.0, 160, _mk(R=1.0), (("J(R)", {}),), y="J"),
+    "fig2a": Preset("T", 0.04, 3.0, 150, _mk(Dz=1.0, B=1.0), _family("R", (0.3, 0.6, 0.9))),
+    "fig2b": Preset("T", 0.04, 3.0, 150, _mk(R=0.5, Dz=1.0),
+                    _family("B", (0.0, 0.3, 0.6, 0.9, 1.2))),
+    "fig3a": Preset("Dz", -4.0, 4.0, 161, _mk(R=1.0, B=1.0), _family("T", (0.08, 0.3, 0.6, 1.0))),
+    "fig3b": Preset("Dz", -4.0, 4.0, 161, _mk(B=0.5), _family("R", (0.3, 0.6, 0.9)), T=0.08),
+    "fig3c": Preset("Dz", -4.0, 4.0, 161, _mk(R=0.5), _family("B", (0.5, 0.8, 1.1)), T=0.08),
+    "fig4a": Preset("R", 0.05, 8.0, 160, _mk(R=1.0, Dz=1.0, B=1.0),
+                    _family("T", (0.04, 0.08, 0.12, 0.5))),
+    "fig4b": Preset("B", 0.0, 2.0, 161, _mk(R=1.0, Dz=1.0), _family("T", (0.04, 0.08, 0.12, 0.5))),
+    "fig4c": Preset("B", 0.0, 2.0, 161, _mk(R=1.0, Dz=1.0), (("T=0", {}),), T=0.0),
+}
+FIGURE_NAMES = tuple(FIGURE_PRESETS)
 
 
 def figure_preset(name: str) -> list:
     """Sweep families reproducing the published figures; returns a list of
     labeled SweepResult curves."""
-    mk = ModelParams
-    if name == "fig1":
-        # HF coupling J(R); grid step 0.05 puts the maximum R = 1.25 on-grid
-        spec = SweepSpec(vary="R", start=0.05, stop=8.0, steps=160,
-                         fixed=mk(R=1.0, Dz=0.0, B=0.0), T=1.0)
-        return [run_sweep(spec, label="J(R)")]
-    if name == "fig2a":
-        return [
-            run_sweep(SweepSpec(vary="T", start=0.04, stop=3.0, steps=150,
-                                fixed=mk(R=r, Dz=1.0, B=1.0)), label=f"R={r}")
-            for r in (0.3, 0.6, 0.9)
-        ]
-    if name == "fig2b":
-        return [
-            run_sweep(SweepSpec(vary="T", start=0.04, stop=3.0, steps=150,
-                                fixed=mk(R=0.5, Dz=1.0, B=b)), label=f"B={b}")
-            for b in (0.0, 0.3, 0.6, 0.9, 1.2)
-        ]
-    if name == "fig3a":
-        return [
-            run_sweep(SweepSpec(vary="Dz", start=-4.0, stop=4.0, steps=161,
-                                fixed=mk(R=1.0, B=1.0), T=t), label=f"T={t}")
-            for t in (0.08, 0.3, 0.6, 1.0)
-        ]
-    if name == "fig3b":
-        return [
-            run_sweep(SweepSpec(vary="Dz", start=-4.0, stop=4.0, steps=161,
-                                fixed=mk(R=r, B=0.5), T=0.08), label=f"R={r}")
-            for r in (0.3, 0.6, 0.9)
-        ]
-    if name == "fig3c":
-        return [
-            run_sweep(SweepSpec(vary="Dz", start=-4.0, stop=4.0, steps=161,
-                                fixed=mk(R=0.5, B=b), T=0.08), label=f"B={b}")
-            for b in (0.5, 0.8, 1.1)
-        ]
-    if name == "fig4a":
-        return [
-            run_sweep(SweepSpec(vary="R", start=0.05, stop=8.0, steps=160,
-                                fixed=mk(R=1.0, Dz=1.0, B=1.0), T=t), label=f"T={t}")
-            for t in (0.04, 0.08, 0.12, 0.5)
-        ]
-    if name == "fig4b":
-        return [
-            run_sweep(SweepSpec(vary="B", start=0.0, stop=2.0, steps=161,
-                                fixed=mk(R=1.0, Dz=1.0), T=t), label=f"T={t}")
-            for t in (0.04, 0.08, 0.12, 0.5)
-        ]
-    if name == "fig4c":
-        return [run_sweep(SweepSpec(vary="B", start=0.0, stop=2.0, steps=161,
-                                    fixed=mk(R=1.0, Dz=1.0), T=0.0), label="T=0")]
-    raise ValueError(f"unknown figure preset {name!r}")
-
-
-FIGURE_NAMES = ("fig1", "fig2a", "fig2b", "fig3a", "fig3b", "fig3c",
-                "fig4a", "fig4b", "fig4c")
+    if name not in FIGURE_PRESETS:
+        raise ValueError(f"unknown figure preset {name!r}")
+    f = FIGURE_PRESETS[name]
+    results = []
+    for label, overrides in f.curves:
+        params = {k: v for k, v in overrides.items() if k != "T"}
+        spec = SweepSpec(vary=f.vary, start=f.start, stop=f.stop, steps=f.steps,
+                         fixed=replace(f.fixed, **params), T=overrides.get("T", f.T))
+        results.append(run_sweep(spec, label=label))
+    return results

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from qutritxxz.cli import build_parser, main
 from qutritxxz.model import ModelParams
 from qutritxxz.output import csv_text
-from qutritxxz.sweeps import CSV_COLUMNS, SweepSpec, run_sweep
+from qutritxxz.sweeps import CSV_COLUMNS, FIGURE_NAMES, SweepSpec, run_sweep
 
 
 def test_negativity_point(capsys):
@@ -76,6 +77,35 @@ def test_figure_preset_with_svg(tmp_path):
     assert main(["figure", "fig4c", "--out", str(out), "--svg", str(svg)]) == 0
     assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
     assert svg.read_text().startswith("<svg")
+
+
+def _svg_y_axis(svg_text):
+    """The y-axis label and the top tick label of an emitted chart."""
+    label = re.search(r'rotate\(-90 [^)]*\)">([^<]*)</text>', svg_text).group(1)
+    top = re.search(r'<text x="\d+" y="60" text-anchor="end" font-size="11">([^<]*)</text>',
+                    svg_text).group(1)
+    return label, top
+
+
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+def test_figure_svg_plots_the_column_of_its_figure(name, tmp_path):
+    # fig1 is the HF coupling J(R); every other figure plots the negativity
+    out, svg = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
+    assert main(["figure", name, "--out", str(out), "--svg", str(svg)]) == 0
+    y = "J" if name == "fig1" else "negativity"
+    header, *lines = out.read_text().splitlines()
+    top = max(float(dict(zip(header.split(","), line.split(",")))[y]) for line in lines)
+    assert _svg_y_axis(svg.read_text()) == (y, repr(top))
+
+
+def test_sweep_svg_plots_negativity(tmp_path, capsys):
+    svg = tmp_path / "sweep.svg"
+    assert main(["sweep", "--vary", "R", "--from", "0.5", "--to", "2", "--steps", "7",
+                 "--Dz", "1", "--B", "1", "--svg", str(svg)]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    top = max(float(dict(zip(header.split(","), line.split(",")))["negativity"])
+              for line in lines)
+    assert _svg_y_axis(svg.read_text()) == ("negativity", repr(top))
 
 
 def test_critical_field(capsys):
@@ -277,6 +307,20 @@ def test_config_rejects_what_is_not_an_object_of_numbers(tmp_path, capsys, text)
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert "unknown config keys" not in captured.err and captured.out == ""
+
+
+def test_config_ints_read_as_the_flags_do(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"R": 1, "Dz": 1}')
+    assert main(["negativity", "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["negativity", "--R", "1", "--Dz", "1"]) == 0
+    assert from_config == capsys.readouterr().out
+    # an int no float can hold is an invalid config, not a numerical failure
+    cfg.write_text('{"B": 1' + "0" * 330 + "}")
+    assert main(["negativity", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [

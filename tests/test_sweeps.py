@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -317,6 +318,57 @@ def test_figure_preset_fig4c_plateaus():
     assert 0.0 in values
     assert any(abs(v - 0.5) < 1e-6 for v in values)
     assert any(abs(v - 0.974154) < 1e-4 for v in values)
+
+
+# each preset as the published figure defines it: grid, then per curve its
+# label and the R, Dz, B and T echoed into meta (gamma 1, no direct J)
+_PRESETS = {
+    "fig1": ("R", 0.05, 8.0, 160, [("J(R)", 1.0, 0.0, 0.0, 1.0)]),
+    "fig2a": ("T", 0.04, 3.0, 150, [(f"R={r}", r, 1.0, 1.0, 1.0) for r in (0.3, 0.6, 0.9)]),
+    "fig2b": ("T", 0.04, 3.0, 150,
+              [(f"B={b}", 0.5, 1.0, b, 1.0) for b in (0.0, 0.3, 0.6, 0.9, 1.2)]),
+    "fig3a": ("Dz", -4.0, 4.0, 161,
+              [(f"T={t}", 1.0, 0.0, 1.0, t) for t in (0.08, 0.3, 0.6, 1.0)]),
+    "fig3b": ("Dz", -4.0, 4.0, 161, [(f"R={r}", r, 0.0, 0.5, 0.08) for r in (0.3, 0.6, 0.9)]),
+    "fig3c": ("Dz", -4.0, 4.0, 161, [(f"B={b}", 0.5, 0.0, b, 0.08) for b in (0.5, 0.8, 1.1)]),
+    "fig4a": ("R", 0.05, 8.0, 160,
+              [(f"T={t}", 1.0, 1.0, 1.0, t) for t in (0.04, 0.08, 0.12, 0.5)]),
+    "fig4b": ("B", 0.0, 2.0, 161,
+              [(f"T={t}", 1.0, 1.0, 0.0, t) for t in (0.04, 0.08, 0.12, 0.5)]),
+    "fig4c": ("B", 0.0, 2.0, 161, [("T=0", 1.0, 1.0, 0.0, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_PRESETS))
+def test_figure_preset_meta_pins_the_published_sweeps(name):
+    vary, start, stop, steps, curves = _PRESETS[name]
+    results = figure_preset(name)
+    assert len(results) == len(curves)
+    for res, (label, r, dz, b, t) in zip(results, curves):
+        meta = res.meta
+        got = (meta["label"], meta["vary"], meta["start"], meta["stop"], meta["steps"],
+               meta["fixed"])
+        want = (label, vary, start, stop, steps,
+                {"R": r, "gamma": 1.0, "Dz": dz, "B": b, "j_override": None, "T": t})
+        # repr also tells 1 from 1.0, which the CSV and meta bytes would show
+        assert got == want and repr(got) == repr(want)
+        assert len(res.rows) == steps
+
+
+def test_figure_names_are_the_table_in_order():
+    assert sweeps.FIGURE_NAMES == tuple(sweeps.FIGURE_PRESETS) == tuple(_PRESETS)
+
+
+def test_survey_script_prints_why_there_is_no_onset(capsys):
+    # at B = 30 the pair is separable at Dz = 0 and stays so up to the scan limit
+    script = Path(__file__).resolve().parent.parent / "scripts" / "critical_points_survey.py"
+    spec = importlib.util.spec_from_file_location("critical_points_survey", script)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    assert survey.main(["--r-values", "1.0", "--b", "30"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert row.split()[0] == "1.00"
+    assert row.endswith("negativity stays below 0.001 up to Dz = 10.0")
 
 
 def test_figure_preset_unknown():
