@@ -17,7 +17,6 @@ from .model import (
     HF_RANGE,
     DomainError,
     ModelParams,
-    effective_coupling,
     hamiltonian_tensor,
 )
 from .output import _fmt, csv_text, emit_csv, emit_svg, json_text, write_text
@@ -105,8 +104,9 @@ def build_parser():
                          "Dz: negativity onset at --T")
     cr.add_argument("--max", dest="axis_max", type=float, default=None,
                     help="scan limit (default 5 for B, 10 for Dz)")
-    cr.add_argument("--threshold", type=float, default=ONSET_THRESHOLD,
-                    help="onset negativity threshold for --axis Dz")
+    cr.add_argument("--threshold", type=float, default=None,
+                    help="onset negativity threshold, only with --axis Dz "
+                         f"(default {ONSET_THRESHOLD})")
 
     va = sub.add_parser("validate", help="run the full cross-validation suite")
     va.add_argument("--format", choices=("text", "json"), default="text")
@@ -176,12 +176,11 @@ def _cmd_spectrum(args):
     eps, chi = level_values(p)
     numeric = eigvalsh(hamiltonian_tensor(p)).tolist()
     gap = max(abs(a - b) for a, b in zip(sorted(eps), numeric))
-    r, theta, _ = effective_coupling(p)
     if args.format == "json":
         chi1, chi2 = chi or (None, None)
         payload = {
             "params": {"R": p.R, "gamma": p.gamma, "Dz": p.Dz, "B": p.B,
-                       "J": p.J, "r": r, "theta": theta},
+                       "J": p.J, "r": p.r, "theta": p.theta},
             "eigenvalues": {f"eps{i + 1}": e for i, e in enumerate(eps)},
             "chi1": chi1,
             "chi2": chi2,
@@ -218,7 +217,7 @@ def _emit(results, args, y="negativity"):
 
 
 def _cmd_sweep(args):
-    p, t = _resolve(args)
+    p, t = _resolve(args, takes_t=args.vary != "T")
     spec = SweepSpec(vary=args.vary, start=args.start, stop=args.stop,
                      steps=args.steps, fixed=p, T=t)
     _emit([run_sweep(spec)], args)
@@ -233,13 +232,16 @@ def _cmd_figure(args):
 def _cmd_critical(args):
     p, t = _resolve(args, takes_t=args.axis == "Dz")
     if args.axis == "B":
+        if args.threshold is not None:
+            raise DomainError("--threshold is taken only with --axis Dz")
         b_max = args.axis_max if args.axis_max is not None else 5.0
         points = [asdict(cp) for cp in detect_critical_field(p, b_max=b_max)]
         _write(json.dumps(points, indent=2), args.out)
         return EXIT_OK
     dz_max = args.axis_max if args.axis_max is not None else 10.0
+    threshold = args.threshold if args.threshold is not None else ONSET_THRESHOLD
     try:
-        cp = detect_critical_dz(p, t, dz_max=dz_max, threshold=args.threshold)
+        cp = detect_critical_dz(p, t, dz_max=dz_max, threshold=threshold)
     except NoOnset as exc:
         _write(json.dumps({"error": "NoOnset", "detail": str(exc)}, indent=2), args.out)
         return EXIT_OK

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal
 
 from .matkernel import _jacobi, eigvalsh, is_hermitian
 
@@ -35,9 +34,6 @@ EIG3_FALLBACK_CUT = 1e-4
 _SQRT6 = math.sqrt(6.0)
 _THIRD_TURN = 2.0 * math.pi / 3.0
 
-Subsystem = Literal["first", "second"]
-
-
 class InvalidState(ValueError):
     """Input is not a valid density matrix within tolerance."""
 
@@ -46,21 +42,16 @@ class UnsupportedStructure(ValueError):
     """Pure-state oracle applied outside its permutation-pattern domain."""
 
 
-def partial_transpose(rho: np.ndarray, subsystem: Subsystem = "first") -> np.ndarray:
-    """Transpose one qutrit's indices; an involution, Hermiticity-preserving."""
+def partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Transpose the first qutrit's indices; an involution,
+    Hermiticity-preserving.  The second qutrit's partial transpose is the
+    full transpose of this one, so it has the same spectrum."""
     import numpy as np
 
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (9, 9):
         raise ValueError(f"expected a 9x9 matrix, got {rho.shape}")
-    t = rho.reshape(3, 3, 3, 3)
-    if subsystem == "first":
-        t = t.transpose(2, 1, 0, 3)
-    elif subsystem == "second":
-        t = t.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
-    return t.reshape(9, 9).copy()
+    return rho.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(9, 9).copy()
 
 
 @dataclass(frozen=True)
@@ -69,7 +60,7 @@ class NegativityResult:
     negative_eigenvalues: np.ndarray = field(repr=False)
 
 
-def negativity(rho: np.ndarray, subsystem: Subsystem = "first") -> NegativityResult:
+def negativity(rho: np.ndarray) -> NegativityResult:
     """Sum of |negative eigenvalues| of the partial transpose of rho."""
     import numpy as np
 
@@ -83,7 +74,7 @@ def negativity(rho: np.ndarray, subsystem: Subsystem = "first") -> NegativityRes
     if eigvalsh(rho)[0] < -STATE_TOL:
         raise InvalidState("density matrix is not positive semidefinite")
 
-    w = eigvalsh(partial_transpose(rho, subsystem))
+    w = eigvalsh(partial_transpose(rho))
     neg = w[w < -NEGATIVE_EIG_TOL]
     # an empty sum negated is -0.0; a separable state reports +0.0
     value = float(-neg.sum()) if neg.size else 0.0

@@ -10,7 +10,9 @@ g*J + 2B.
 
 The 9x9 Hamiltonian couples through r = sqrt(Dz^2 + J^2) and the phase
 theta = atan2(Dz, J); its spectrum is known in closed form and is exposed
-by analytic_spectrum alongside the labeled eigenvectors.
+by analytic_spectrum alongside the labeled eigenvectors.  ModelParams
+works out J, r and theta once, on construction; every other function of
+the package reads them from it (effective_coupling is a view of them).
 
 The levels themselves (diagonal_levels, closed_form_levels) are Python
 floats.  numpy is imported only by the functions that build a matrix, and
@@ -101,7 +103,11 @@ def hf_coupling(R: float) -> float:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical configuration; J derives from R unless j_override is set."""
+    """Physical configuration; J derives from R unless j_override is set.
+
+    J, r = sqrt(Dz^2 + J^2) and theta = atan2(Dz, J) (0 where r = 0) are
+    worked out once, on construction, and read as attributes.  They are not
+    fields, so init, repr, == and hash see only the five parameters."""
 
     R: float = 0.5
     gamma: float = 1.0
@@ -116,20 +122,11 @@ class ModelParams:
                 raise DomainError(f"{name} must be finite, got {value}")
         if self.j_override is None and self.R <= 0:
             raise DomainError(f"R must be positive without a direct-J override, got {self.R}")
-
-    @property
-    def J(self) -> float:
-        if self.j_override is not None:
-            return self.j_override
-        return hf_coupling(self.R)
-
-    @property
-    def r(self) -> float:
-        return math.hypot(self.Dz, self.J)
-
-    @property
-    def theta(self) -> float:
-        return effective_coupling(self).theta
+        j = hf_coupling(self.R) if self.j_override is None else self.j_override
+        r = math.hypot(self.Dz, j)
+        object.__setattr__(self, "J", j)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "theta", math.atan2(self.Dz, j) if r else 0.0)
 
     def in_hf_window(self) -> bool:
         lo, hi = HF_RANGE
@@ -143,17 +140,10 @@ class EffectiveCoupling(NamedTuple):
 
 
 def effective_coupling(p: ModelParams) -> EffectiveCoupling:
-    """r = sqrt(Dz^2 + J^2) and theta = atan2(Dz, J).
-
-    When both J and Dz vanish the phase is undefined; theta is reported
-    as 0 with the degenerate flag set (the Hamiltonian itself stays
-    well-defined).
-    """
-    j = p.J
-    r = math.hypot(p.Dz, j)
-    if r == 0.0:
-        return EffectiveCoupling(0.0, 0.0, True)
-    return EffectiveCoupling(r, math.atan2(p.Dz, j), False)
+    """p.r and p.theta, with the degenerate flag set where r = 0: there
+    both J and Dz vanish and the phase, reported as 0, is undefined (the
+    Hamiltonian itself stays well-defined)."""
+    return EffectiveCoupling(p.r, p.theta, p.r == 0.0)
 
 
 def hamiltonian_tensor(p: ModelParams) -> np.ndarray:
@@ -171,11 +161,9 @@ def hamiltonian_closed_form(p: ModelParams) -> np.ndarray:
     off-diagonals; must agree entrywise with hamiltonian_tensor."""
     import numpy as np
 
-    gj, b = p.gamma * p.J, p.B
-    r, theta, _ = effective_coupling(p)
-    z = r * np.exp(1j * theta)
+    z = p.r * np.exp(1j * p.theta)
     h = np.zeros((9, 9), dtype=complex)
-    h[np.arange(9), np.arange(9)] = diagonal_levels(gj, b)
+    h[np.arange(9), np.arange(9)] = diagonal_levels(p.gamma * p.J, p.B)
     for i, k in [(1, 3), (2, 4), (4, 6), (5, 7)]:
         h[i, k] = z
         h[k, i] = np.conj(z)
@@ -240,14 +228,13 @@ def closed_form_levels(gj: float, b: float, r: float):
 def analytic_spectrum(p: ModelParams) -> AnalyticSpectrum:
     import numpy as np
 
-    r, theta, degenerate = effective_coupling(p)
-    if degenerate:
+    if p.r == 0.0:
         raise DegenerateCoupling("r = 0: closed-form spectrum unavailable, use the numeric route")
-    eps, chi1, chi2 = closed_form_levels(p.gamma * p.J, p.B, r)
+    eps, chi1, chi2 = closed_form_levels(p.gamma * p.J, p.B, p.r)
     eps = np.array(eps)
 
-    e1 = np.exp(1j * theta)
-    e2 = np.exp(2j * theta)
+    e1 = np.exp(1j * p.theta)
+    e2 = np.exp(2j * p.theta)
     vecs = np.zeros((9, 9), dtype=complex)
     s2 = _S2
     # |-1,0>=1, |0,-1>=3 block

@@ -38,11 +38,10 @@ def write_text(path, text: str) -> None:
 
 
 def _plain(x):
-    """A float as a plain Python float with -0.0 written as 0.0; lists and
-    dicts element by element; anything else as it is."""
+    """A float with -0.0 written as 0.0; lists and dicts element by
+    element; anything else as it is."""
     if isinstance(x, float):
-        # float() drops numpy's np.float64(...) repr
-        return 0.0 if x == 0.0 else float(x)
+        return 0.0 if x == 0.0 else x
     if isinstance(x, dict):
         return {k: _plain(v) for k, v in x.items()}
     if isinstance(x, list):
@@ -51,11 +50,7 @@ def _plain(x):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(_plain(x))
-    if x is None:
-        return ""
-    return str(x)
+    return repr(_plain(x)) if isinstance(x, float) else str(x)
 
 
 def json_text(payload) -> str:
@@ -82,7 +77,7 @@ def emit_csv(result, path) -> None:
     try:
         write_text(path, csv_text(row for res in results for row in res.rows))
         meta_path = path.with_name(path.name + ".meta.json")
-        write_text(meta_path, json.dumps([r.meta for r in results],
+        write_text(meta_path, json.dumps(_plain([r.meta for r in results]),
                                          indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 from . import __version__
-from .model import SIGN_CONVENTION_NOTE, ModelParams, effective_coupling
+from .model import SIGN_CONVENTION_NOTE, ModelParams
 from .thermal import GROUND_DEGENERACY_TOL, inverse_temperature, level_values, thermal_point
 
 CSV_COLUMNS = (
@@ -95,11 +95,10 @@ class CriticalPoint:
 
 
 def _point(p: ModelParams, T: float) -> dict:
-    r, theta, _ = effective_coupling(p)
     z, ground_energy, n = thermal_point(p, T)
     return {
         "T": T, "B": p.B, "Dz": p.Dz, "R": p.R, "gamma": p.gamma,
-        "J": p.J, "r": r, "theta": theta, "Z": z,
+        "J": p.J, "r": p.r, "theta": p.theta, "Z": z,
         "ground_energy": ground_energy, "negativity": n,
     }
 

@@ -2,27 +2,29 @@
 
 For every coupling r >= 0 and every T >= 0 the state is ten real numbers
 and the phase theta, and _state is its one construction: it reads the
-nine levels as floats (level_values), weights them (_weights) and returns
-Z, the ground energy and the ten elements (r11, r22, r24, r33, r35, r37,
-r55, r66, r68, r99) of rho, from chi1, chi2 when r > 0 (_rho_elements)
-and from the basis weights at r = 0, where H and rho are diagonal.  Every
-route reads it: thermal_point takes the negativity of the elements
+nine levels as floats (level_values, from the J and r that ModelParams
+holds), weights them (_weights) and returns Z, ln Z, the ground energy
+and the ten elements (r11, r22, r24, r33, r35, r37, r55, r66, r68, r99)
+of rho, from chi1, chi2 when r > 0 (_rho_elements) and from the basis
+weights at r = 0, where H and rho are diagonal.  Every route reads it:
+thermal_point takes the negativity of the elements
 (entanglement.element_negativity) with no matrix and no numpy; gibbs and
 ground_state_mixture (beta = inf) expand them into the 9x9 matrix
-(_analytic_rho); partition_function reads Z.  gibbs_numeric diagonalizes
-the tensor-product Hamiltonian with the Jacobi kernel; it is the
-independent reference that validate and the tests compare against,
-entrywise to 1e-10, which checks the closed forms (and the eps9 sign).
-Every route takes its weights from _weights, as Python floats shifted by
-eps_min before exponentiating, so arbitrarily low temperatures never
-overflow (math.exp of an exponent that overflows is exactly 0, with no
-warning), and summed by math.fsum; at T = inf (beta = 0) every weight is
-exactly 1.0, even where the spread of the levels overflows.
-log_partition_function gives ln Z from the same weights, finite where Z
-overflows.  beta comes from inverse_temperature, which rejects a T whose
-1/T overflows.  numpy is imported only by the routes that build rho as a
-matrix, so thermal_point, partition_function and importing this module do
-not load it.
+(_analytic_rho) with the theta of ModelParams; partition_function reads
+Z and log_partition_function ln Z, which stays finite where Z overflows.
+gibbs_numeric diagonalizes the tensor-product Hamiltonian with the Jacobi
+kernel; it is the independent reference that validate and the tests
+compare against, entrywise to 1e-10, which checks the closed forms (and
+the eps9 sign).  Every route takes its weights from _weights, as Python
+floats shifted by eps_min before exponentiating, so arbitrarily low
+temperatures never overflow (math.exp of an exponent that overflows is
+exactly 0, with no warning), and summed by math.fsum; at T = inf
+(beta = 0) every weight is exactly 1.0, even where the spread of the
+levels overflows.  Z and ln Z both come from _z_and_log_z.  beta comes
+from inverse_temperature, which rejects a T whose 1/T overflows.  numpy
+is imported only by the routes that build rho as a matrix, so
+thermal_point, partition_function and importing this module do not load
+it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .model import (
     ModelParams,
     closed_form_levels,
     diagonal_levels,
-    effective_coupling,
     hamiltonian_tensor,
 )
 
@@ -79,10 +80,9 @@ def level_values(p: ModelParams):
     """The nine levels of H as floats and (chi1, chi2), with no matrix:
     closed_form_levels (labels 1..9) when r > 0; at r = 0, where H is
     diagonal, diagonal_levels (labels are basis indices + 1) and None."""
-    r, _, degenerate = effective_coupling(p)
-    if degenerate:
+    if p.r == 0.0:
         return diagonal_levels(p.gamma * p.J, p.B), None
-    eps, chi1, chi2 = closed_form_levels(p.gamma * p.J, p.B, r)
+    eps, chi1, chi2 = closed_form_levels(p.gamma * p.J, p.B, p.r)
     return eps, (chi1, chi2)
 
 
@@ -102,14 +102,15 @@ def _weights(eps, beta: float):
     return u, math.fsum(u), eps_min
 
 
-def _unshifted_z(zs: float, beta: float, eps_min: float) -> float:
-    """Z = zs * exp(-beta eps_min); inf when the rescaling overflows
-    (beta up to 1e6 must stay safe, the shifted weights already are).  At
-    beta = inf, zs itself: the ground-level degeneracy."""
+def _z_and_log_z(zs: float, beta: float, eps_min: float) -> tuple:
+    """Z = zs * exp(-beta eps_min) and ln Z = ln zs - beta eps_min.  Z is
+    inf when the rescaling overflows (beta up to 1e6 must stay safe, the
+    shifted weights already are); ln Z stays finite.  At beta = inf, zs
+    itself and its log: the ground-level degeneracy."""
     if beta == math.inf:
-        return zs
+        return zs, math.log(zs)
     x = -beta * eps_min
-    return zs * math.exp(x) if x < 700.0 else math.inf
+    return zs * math.exp(x) if x < 700.0 else math.inf, math.log(zs) + x
 
 
 def partition_function(p: ModelParams, T: float) -> float:
@@ -118,15 +119,11 @@ def partition_function(p: ModelParams, T: float) -> float:
 
 
 def log_partition_function(p: ModelParams, T: float) -> float:
-    """ln Z = ln zs - beta eps_min, from the same levels and _weights as
-    thermal_point's Z, so exp(ln Z) is Z wherever Z is finite; it stays
-    finite below T ~ 1e-3, where Z overflows.  T = 0 is allowed and gives
-    ln zs, the log of the ground-level degeneracy that T = 0 rows report
-    as Z."""
-    beta = inverse_temperature(T, allow_zero=True)
-    eps, _ = level_values(p)
-    _, zs, eps_min = _weights(eps, beta)
-    return math.log(zs) if beta == math.inf else math.log(zs) - beta * eps_min
+    """ln Z of the same _state as thermal_point's Z, so exp(ln Z) is Z
+    wherever Z is finite; it stays finite below T ~ 1e-3, where Z
+    overflows.  T = 0 is allowed and gives the log of the ground-level
+    degeneracy that T = 0 rows report as Z."""
+    return _state(p, inverse_temperature(T, allow_zero=True))[1]
 
 
 def gibbs_numeric(p: ModelParams, T: float) -> ThermalState:
@@ -138,7 +135,7 @@ def gibbs_numeric(p: ModelParams, T: float) -> ThermalState:
     vecs = dec.eigenvectors
     u, zs, eps_min = _weights(dec.eigenvalues.tolist(), beta)
     rho = (vecs * (np.array(u) / zs)) @ vecs.conj().T
-    return ThermalState(beta=beta, Z=_unshifted_z(zs, beta, eps_min), rho=rho,
+    return ThermalState(beta=beta, Z=_z_and_log_z(zs, beta, eps_min)[0], rho=rho,
                         ground_energy=eps_min)
 
 
@@ -172,12 +169,12 @@ def _rho_elements(chi1: float, chi2: float, u) -> tuple:
 
 
 def _state(p: ModelParams, beta: float) -> tuple:
-    """(Z, ground_energy, elements) of exp(-beta H)/Z, or at beta = inf of
-    the ground-level mixture: the ten real elements of rho, in the order of
-    _rho_elements.  At r = 0, H and rho are diagonal in the product basis,
-    and the elements are the basis weights: the swapped product states
-    |a,b> and |b,a> have equal levels, so the weights fill the diagonal of
-    _analytic_rho exactly."""
+    """(Z, ln Z, ground_energy, elements) of exp(-beta H)/Z, or at
+    beta = inf of the ground-level mixture: the ten real elements of rho,
+    in the order of _rho_elements.  At r = 0, H and rho are diagonal in the
+    product basis, and the elements are the basis weights: the swapped
+    product states |a,b> and |b,a> have equal levels, so the weights fill
+    the diagonal of _analytic_rho exactly."""
     eps, chi = level_values(p)
     u, zs, eps_min = _weights(eps, beta)
     if chi is None:
@@ -185,7 +182,7 @@ def _state(p: ModelParams, beta: float) -> tuple:
         elements = (u1, u2, 0.0, u3, 0.0, 0.0, u5, u6, 0.0, u9)
     else:
         elements = _rho_elements(*chi, u)
-    return _unshifted_z(zs, beta, eps_min), eps_min, tuple(x / zs for x in elements)
+    return (*_z_and_log_z(zs, beta, eps_min), eps_min, tuple(x / zs for x in elements))
 
 
 def _analytic_rho(elements, theta: float) -> np.ndarray:
@@ -211,7 +208,7 @@ def _analytic_rho(elements, theta: float) -> np.ndarray:
 
 def _thermal_state(p: ModelParams, beta: float) -> ThermalState:
     """_state at beta with rho expanded into its 9x9 matrix."""
-    z, ground_energy, elements = _state(p, beta)
+    z, _, ground_energy, elements = _state(p, beta)
     return ThermalState(beta=beta, Z=z, rho=_analytic_rho(elements, p.theta),
                         ground_energy=ground_energy)
 
@@ -219,7 +216,7 @@ def _thermal_state(p: ModelParams, beta: float) -> ThermalState:
 def gibbs_analytic(p: ModelParams, T: float) -> ThermalState:
     """gibbs, for r > 0 only: DegenerateCoupling at r = 0."""
     beta = inverse_temperature(T)
-    if effective_coupling(p).degenerate:
+    if p.r == 0.0:
         raise DegenerateCoupling("r = 0: closed forms unavailable, use gibbs_numeric")
     return _thermal_state(p, beta)
 
@@ -246,5 +243,5 @@ def thermal_point(p: ModelParams, T: float) -> tuple:
     negativity of its ten elements (element_negativity).  At r = 0, rho is
     diagonal, so its partial transpose is rho itself and N = +0.0.
     """
-    z, ground_energy, elements = _state(p, inverse_temperature(T, allow_zero=True))
+    z, _, ground_energy, elements = _state(p, inverse_temperature(T, allow_zero=True))
     return z, ground_energy, element_negativity(elements)

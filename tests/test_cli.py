@@ -179,6 +179,43 @@ def test_critical_field_takes_no_temperature(tmp_path, capsys):
     assert main(["critical", "--axis", "Dz", "--config", str(cfg)]) == 0
 
 
+def test_temperature_sweep_takes_no_fixed_temperature(tmp_path, capsys):
+    # the grid sets T at every point: a fixed temperature would be ignored
+    argv = ["sweep", "--vary", "T", "--from", "0.1", "--to", "1", "--steps", "3"]
+    assert main(argv + ["--R", "1", "--T", "3"]) == 2
+    assert "does not use one" in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"R": 1.0, "T": 3.0}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert main(argv + ["--R", "1"]) == 0
+    assert main(["sweep", "--vary", "B", "--from", "0", "--to", "1", "--steps", "3",
+                 "--config", str(cfg)]) == 0
+    capsys.readouterr()
+
+
+def test_threshold_is_taken_only_with_the_dz_axis(capsys):
+    assert main(["critical", "--axis", "B", "--R", "1", "--Dz", "1", "--threshold", "0.5"]) == 2
+    assert "--threshold is taken only with --axis Dz" in capsys.readouterr().err
+    onset = ["critical", "--axis", "Dz", "--R", "0.3", "--B", "0.5", "--T", "0.08"]
+    values = []
+    for extra in ([], ["--threshold", "1e-3"], ["--threshold", "0.05"]):
+        assert main(onset + extra) == 0
+        values.append(json.loads(capsys.readouterr().out)["value"])
+    assert values[0] == values[1] < values[2]
+
+
+def test_sweep_meta_writes_negative_zero_as_zero(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--vary", "Dz", "--from=-0.0", "--to", "1", "--steps", "3",
+                 "--R", "1", "--B=-0.0", "--T", "0.5", "--out", str(out)]) == 0
+    text = (tmp_path / "s.csv.meta.json").read_text()
+    assert "-0.0" not in text and "-0.0" not in out.read_text()
+    meta = json.loads(text)[0]
+    assert math.copysign(1.0, meta["start"]) == math.copysign(1.0, meta["fixed"]["B"]) == 1.0
+    assert list(meta) == sorted(meta)
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv", [
     ["negativity", "--R", "0.5", "--Dz", "1", "--T", "1e-309"],
     ["sweep", "--vary", "B", "--from", "0", "--to", "1", "--steps", "3", "--T", "1e-320"],

@@ -45,13 +45,12 @@ def test_pt_fixes_diagonal():
 
 def test_pt_involution(rng):
     a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    for sub in ("first", "second"):
-        assert np.array_equal(partial_transpose(partial_transpose(a, sub), sub), a)
+    assert np.array_equal(partial_transpose(partial_transpose(a)), a)
 
 
 def test_pt_index_law(rng):
     rho = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    out = partial_transpose(rho, "first")
+    out = partial_transpose(rho)
     for i in range(3):
         for j in range(3):
             for k in range(3):
@@ -139,11 +138,13 @@ def test_headline_scalar_routes_record():
 
 
 def test_negativity_both_subsystems_agree():
+    # the second qutrit's partial transpose, built here by its index law,
+    # has the spectrum of the first's, so negativity needs only the first
     p = ModelParams(R=0.5, gamma=0.8, Dz=1.3, B=0.4)
     rho = gibbs_analytic(p, 0.3).rho
-    n1 = negativity(rho, "first").value
-    n2 = negativity(rho, "second").value
-    assert abs(n1 - n2) < 1e-10
+    pt2 = rho.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
+    w = np.linalg.eigvalsh(pt2)
+    assert abs(negativity(rho).value + float(w[w < -1e-12].sum())) < 1e-10
 
 
 def test_negativity_rejects_invalid_states():
@@ -243,16 +244,15 @@ def test_negativity_value_matches_stored_eigenvalues(rng):
     assert 0.0 <= res.value <= 1.0 + 1e-9
 
 
-@pytest.mark.parametrize("subsystem", ["first", "second"])
-def test_negativity_matches_dense_path_on_every_route(subsystem, rng):
+def test_negativity_matches_dense_path_on_every_route(rng):
     for _ in range(30):
         p = random_params(rng)
         t = float(rng.uniform(0.01, 5.0))
         r0 = ModelParams(j_override=0.0, Dz=0.0, gamma=p.gamma, B=p.B)
         for rho in (gibbs_analytic(p, t).rho, gibbs_numeric(r0, t).rho,
                     ground_state_mixture(p).rho):
-            pt = partial_transpose(rho, subsystem)
-            n = negativity(rho, subsystem).value
+            pt = partial_transpose(rho)
+            n = negativity(rho).value
             # hermitian_eig shares _jacobi with negativity; numpy's LAPACK
             # eigvalsh (tests only) is the independent oracle
             for w in (hermitian_eig(pt).eigenvalues, np.linalg.eigvalsh(pt)):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -134,6 +135,23 @@ def test_effective_coupling_degenerate():
     r, theta, degenerate = effective_coupling(ModelParams(Dz=0.0, j_override=0.0))
     assert degenerate
     assert (r, theta) == (0.0, 0.0)
+
+
+def test_model_params_holds_j_r_theta():
+    p = ModelParams(R=1.0, Dz=1.0)
+    j = hf_coupling(1.0)
+    assert (p.J, p.r, p.theta) == (j, math.hypot(1.0, j), math.atan2(1.0, j))
+    # not fields: init, repr, == and hash see the five parameters only
+    assert [f.name for f in fields(ModelParams)] == ["R", "gamma", "Dz", "B", "j_override"]
+    assert repr(p) == "ModelParams(R=1.0, gamma=1.0, Dz=1.0, B=0.0, j_override=None)"
+    assert p == ModelParams(R=1.0, Dz=1.0) and hash(p) == hash(ModelParams(R=1.0, Dz=1.0))
+    with pytest.raises(FrozenInstanceError):
+        p.J = 2.0
+    # replace builds a new instance, which derives its own
+    q = replace(p, Dz=0.0, j_override=-0.0)
+    assert (q.J, q.r, q.theta) == (0.0, 0.0, 0.0)
+    assert math.copysign(1.0, q.J) == -1.0
+    assert effective_coupling(q) == (0.0, 0.0, True)
 
 
 def test_zeeman_only_diagonal():

@@ -2,6 +2,7 @@ import os
 import threading
 
 from qutritxxz.output import write_text
+from qutritxxz.sweeps import CSV_COLUMNS, FIGURE_NAMES, figure_preset
 
 
 def test_shorter_rewrite_leaves_no_stale_tail(tmp_path):
@@ -36,3 +37,12 @@ def test_write_to_fifo(tmp_path):
     reader.join(timeout=10)
     assert not reader.is_alive()
     assert received == [b"through the pipe\n"]
+
+
+def test_preset_cells_are_builtin_floats_or_strings():
+    # _fmt writes a float with repr: an np.float64 cell, which isinstance
+    # counts as a float, would print as np.float64(...)
+    for name in FIGURE_NAMES:
+        for res in figure_preset(name):
+            for row in res.rows:
+                assert all(type(row[col]) in (float, str) for col in CSV_COLUMNS), name

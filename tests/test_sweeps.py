@@ -1,5 +1,4 @@
 import ast
-import importlib
 import importlib.util
 import json
 from dataclasses import replace
@@ -438,6 +437,41 @@ def test_point_path_runs_no_dense_solver(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("vary", ["R", "B", "Dz", "T"])
+def test_sweep_point_derives_each_number_once(vary, monkeypatch, capsys):
+    counts = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(model, "hf_coupling")
+    for module in (model, thermal, sweeps, cli):
+        if hasattr(module, "effective_coupling"):
+            count(module, "effective_coupling")
+    count(thermal, "level_values")
+    count(thermal, "_weights")
+    n = 7
+    fixed = ModelParams(R=0.8, Dz=1.0, B=0.3)
+    counts.clear()
+    run_sweep(SweepSpec(vary=vary, start=0.2, stop=2.0, steps=n, fixed=fixed, T=0.5))
+    # J, r and theta are worked out when ModelParams is built: once per
+    # point, and not at all where the grid only sets T
+    assert counts.get("hf_coupling", 0) == (0 if vary == "T" else n)
+    assert counts.get("effective_coupling", 0) == 0
+    assert counts["level_values"] == counts["_weights"] == n
+    counts.clear()
+    assert cli.main(["negativity", "--R", "0.5", "--Dz", "1", "--format", "json"]) == 0
+    assert counts.get("hf_coupling", 0) == 1
+    assert counts.get("effective_coupling", 0) == 0
+    capsys.readouterr()
+
+
 def _runs_at_import(tree):
     """The nodes of a module that run when it is imported: all of them but
     the bodies of its functions."""
@@ -468,16 +502,3 @@ def test_numpy_stays_off_the_point_modules():
             assert not any(m.split(".")[0] == "numpy" for m in modules), path.name
         for node in ast.walk(tree):
             assert not (isinstance(node, ast.Attribute) and node.attr == "errstate"), path.name
-
-
-def test_benchmark_span_targets_resolve():
-    # perfbench wraps these names at startup; read its table, do not import it
-    layers = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
-    tree = ast.parse(layers.read_text())
-    targets = next(ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and any(getattr(t, "id", None) == "SPAN_TARGETS" for t in node.targets))
-    assert len(targets) > 20
-    for target in targets:
-        module, name = target.split(".")
-        assert callable(getattr(importlib.import_module(f"qutritxxz.{module}"), name)), target
