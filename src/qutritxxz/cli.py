@@ -3,9 +3,15 @@
 Subcommands: spectrum, negativity, sweep, figure, critical, validate.
 Exit codes: 0 success, 2 invalid arguments, 3 numerical failure,
 4 validation failure.
+
+main(argv) may be called any number of times in one process.  The
+argparse parser is built on the first call and reused by every later
+one; importing this module builds nothing.  build_parser() returns that
+shared parser, so callers must not mutate it.
 """
 
 import argparse
+import functools
 import json
 from dataclasses import asdict
 import re
@@ -68,7 +74,10 @@ def _add_common(parser, temperature=True):
     parser.add_argument("--out", default=None, help="output file (default stdout)")
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process: built on the first call, shared
+    after it (parse_args leaves it unchanged)."""
     parser = _Parser(
         prog="qutritxxz",
         description="Thermal entanglement (negativity) of a two-qutrit XXZ pair "

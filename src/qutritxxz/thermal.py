@@ -10,8 +10,10 @@ weights at r = 0, where H and rho are diagonal.  Every route reads it:
 thermal_point takes the negativity of the elements
 (entanglement.element_negativity) with no matrix and no numpy; gibbs and
 ground_state_mixture (beta = inf) expand them into the 9x9 matrix
-(_analytic_rho) with the theta of ModelParams; partition_function reads
-Z and log_partition_function ln Z, which stays finite where Z overflows.
+(_analytic_rho) with the theta of ModelParams.  partition_function and
+log_partition_function take Z and ln Z (which stays finite where Z
+overflows) from the same levels and weights without the elements, so
+they stay defined where _rho_elements overflows (|chi| above 1.3e154).
 gibbs_numeric diagonalizes the tensor-product Hamiltonian with the Jacobi
 kernel; it is the independent reference that validate and the tests
 compare against, entrywise to 1e-10, which checks the closed forms (and
@@ -113,17 +115,23 @@ def _z_and_log_z(zs: float, beta: float, eps_min: float) -> tuple:
     return zs * math.exp(x) if x < 700.0 else math.inf, math.log(zs) + x
 
 
+def _z_pair(p: ModelParams, beta: float) -> tuple:
+    """(Z, ln Z) of _state, from the levels and weights alone."""
+    _, zs, eps_min = _weights(level_values(p)[0], beta)
+    return _z_and_log_z(zs, beta, eps_min)
+
+
 def partition_function(p: ModelParams, T: float) -> float:
     """Z = sum_i exp(-beta eps_i), overflow-safe via the spectral shift."""
-    return _state(p, inverse_temperature(T))[0]
+    return _z_pair(p, inverse_temperature(T))[0]
 
 
 def log_partition_function(p: ModelParams, T: float) -> float:
-    """ln Z of the same _state as thermal_point's Z, so exp(ln Z) is Z
+    """ln Z from the same weights as thermal_point's Z, so exp(ln Z) is Z
     wherever Z is finite; it stays finite below T ~ 1e-3, where Z
     overflows.  T = 0 is allowed and gives the log of the ground-level
     degeneracy that T = 0 rows report as Z."""
-    return _state(p, inverse_temperature(T, allow_zero=True))[1]
+    return _z_pair(p, inverse_temperature(T, allow_zero=True))[1]
 
 
 def gibbs_numeric(p: ModelParams, T: float) -> ThermalState:
@@ -150,10 +158,17 @@ def _rho_elements(chi1: float, chi2: float, u) -> tuple:
     e.g. rho22*Z = e^{-bB} cosh(b r) = (u1 + u2)/2 up to the common shift,
     and rho35*Z = -4 e^{b g J/2} sinh(b r (chi1+chi2)/4) / (chi1+chi2)
     = 2 chi1 u8/(chi1^2+8) - 2 chi2 u9/(chi2^2+8) via chi1 chi2 = 8.
+
+    OverflowError where chi1^2 + 8 or chi2^2 + 8 overflows (|chi| above
+    about 1.3e154, e.g. |gamma J| / r above 6.7e153), which would make
+    r55 = inf/inf a NaN.  One test covers both: chi1 chi2 = 8 keeps the
+    smaller one near 8, so their sum is infinite exactly when one is.
     """
     u1, u2, u3, u4, u5, u6, u7, u8, u9 = u
     d8 = chi1 * chi1 + 8.0
     d9 = chi2 * chi2 + 8.0
+    if d8 + d9 == math.inf:
+        raise OverflowError(f"chi^2 + 8 overflows at chi1 = {chi1:.3e}, chi2 = {chi2:.3e}")
     return (
         u3,                                               # r11
         0.5 * (u1 + u2),                                  # r22

@@ -59,3 +59,18 @@ def test_one_workload_pass_has_no_failed_items(name, tmp_path, capsys):
     capsys.readouterr()
     assert outcome.attempted > 0
     assert outcome.failed == 0, outcome.reasons
+
+
+def test_cli_points_repeated_passes_have_no_failed_items(tmp_path, capsys):
+    # perfbench/run.py warms up, then repeats passes in one process: a value
+    # that a command leaves in the shared CLI parser would show in a later pass
+    wl = workloads.WORKLOADS["cli_points"](_library(), 1, tmp_path)
+    wl.warm_up()
+    for _ in range(2):
+        for cmd in wl.commands:
+            cmd[3].unlink(missing_ok=True)  # each pass writes its own output files
+        outcome = workloads.Outcome()
+        wl.check(outcome, [_call(call) for call in wl.calls])
+        assert outcome.attempted == wl.n_commands
+        assert outcome.failed == 0, outcome.reasons
+    capsys.readouterr()

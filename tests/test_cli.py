@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -379,13 +383,28 @@ def test_huge_r_has_zero_coupling(argv, capsys):
     ["negativity", "--J", "0", "--Dz", "0", "--B", "1e308", "--T", "1"],
     ["spectrum", "--R", "0.5", "--Dz", "1", "--B", "1e308"],
     ["spectrum", "--J", "0", "--Dz", "0", "--B", "1e308"],
+    # chi1^2 + 8 (gamma > 0) or chi2^2 + 8 (gamma < 0) overflows in rho
+    ["negativity", "--J", "1e-50", "--gamma", "1e200", "--Dz", "0", "--T", "1"],
+    ["negativity", "--J", "1e-50", "--gamma", "-1e200", "--Dz", "0", "--T", "1"],
+    ["sweep", "--vary", "T", "--from", "0.5", "--to", "1", "--steps", "3",
+     "--J", "1e-50", "--gamma", "1e200", "--Dz", "0"],
 ], ids=["spectrum", "negativity", "critical-B", "negativity-field", "negativity-field-r0",
-        "spectrum-field", "spectrum-field-r0"])
+        "spectrum-field", "spectrum-field-r0", "negativity-chi1", "negativity-chi2",
+        "sweep-chi1"])
 def test_overflow_exits_3(argv, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_critical_field_runs_where_rho_overflows(capsys):
+    # the crossings read only the levels, which stay finite there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["critical", "--axis", "B", "--J", "1e-50", "--gamma", "1e200",
+                     "--Dz", "0"]) == 0
+    assert isinstance(json.loads(capsys.readouterr().out), list)
 
 
 @pytest.mark.parametrize("argv", [
@@ -495,3 +514,51 @@ def test_negativity_row_is_a_sweep_row(capsys):
                                 fixed=ModelParams(R=0.5, Dz=1.0)))
     assert capsys.readouterr().out == csv_text(sweep.rows[:1])
 
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # main reuses one parser for the whole process; each call must print
+    # what a fresh `python -m qutritxxz.cli` prints, whatever ran before it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"R": 0.7, "Dz": 1.5, "B": 0.2, "T": 0.3}))
+    out = tmp_path / "point.csv"
+    point = ["negativity", "--R", "0.9", "--Dz", "1", "--B", "0.1", "--T", "0.2"]
+    sequence = [
+        ["negativity", "--config", str(cfg), "--format", "json"],
+        ["negativity", "--format", "json"],
+        [*point, "--out", str(out)],
+        point,
+        ["spectrum", "--R", "0.5", "--Dz", "1", "--T", "1"],        # DomainError
+        ["negativity", "--R", "0.5", "--J", "1"],                  # DomainError
+        ["negativity", "--R", "abc"],                              # argparse, exit 2
+        ["frobnicate"],                                            # argparse, exit 2
+        ["--version"],
+        ["negativity", "--J", "1e-50", "--gamma", "1e200", "--Dz", "0"],  # exit 3
+        ["negativity", "--R", "8", "--T", "0.5"],                  # R-window warning
+        ["negativity", "--B", "-inf"],                             # DomainError
+        ["negativity", "--R", "1.5", "--Dz", "-0.5", "--T", "0"],
+        ["negativity", "--R", "1.5", "--Dz", "-0.5", "--T", "0", "--format", "json"],
+        ["spectrum", "--R", "1", "--Dz", "1", "--B", "1"],
+        ["spectrum", "--R", "1", "--Dz", "1", "--B", "1", "--format", "json"],
+        ["spectrum", "--J", "0", "--Dz", "0", "--format", "json"],
+    ]
+
+    def written():
+        return out.read_bytes() if out.exists() else None
+
+    in_process = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err, written()))
+    out.unlink()
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, got in zip(sequence, in_process):
+        proc = subprocess.run([sys.executable, "-m", "qutritxxz.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert got == (proc.returncode, proc.stdout, proc.stderr, written()), argv
+    assert [got[0] for got in in_process] == [0, 0, 0, 0, 2, 2, 2, 2, 0, 3, 0, 2, 0, 0, 0, 0, 0]

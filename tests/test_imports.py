@@ -56,6 +56,25 @@ def test_point_commands_load_no_numpy(argv):
     assert "numpy" not in imported
 
 
+def test_cli_parser_is_built_on_first_use_and_once():
+    # importing builds no parser; the first main call builds the one that
+    # every later call reuses
+    probe = "\n".join([
+        "import qutritxxz.cli as cli",
+        "print(cli.build_parser.cache_info().currsize)",
+        "assert cli.main(['negativity', '--R', '0.5', '--Dz', '1']) == 0",
+        "assert cli.main(['negativity', '--J', '0.3', '--T', '0', '--format', 'json']) == 0",
+        "assert cli.build_parser() is cli.build_parser()",
+        "info = cli.build_parser.cache_info()",
+        "print(info.currsize, info.misses)",
+    ])
+    code, out, imported = run_fresh(["-c", probe])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "0" and lines[-1] == "1 1"
+    assert "numpy" not in imported
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--R", "0.5", "--Dz", "1", "--B", "0.3"],
     ["validate", "--fast"],

@@ -129,6 +129,24 @@ def test_analytic_elements_match_printed_forms():
     assert state.rho[1, 3] * z == pytest.approx(expected_24, rel=1e-10)
 
 
+@pytest.mark.parametrize("gamma", [1e200, -1e200])
+def test_gibbs_raises_where_chi_squared_overflows(gamma):
+    # gamma J / r = 1e200 makes chi1 (gamma > 0) or chi2 (gamma < 0) about
+    # 2e200, so chi^2 + 8 is inf and r55 would be inf/inf = NaN
+    p = ModelParams(j_override=1e-50, gamma=gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T in (1.0, 0.0, math.inf):
+            with pytest.raises(OverflowError, match="overflows"):
+                thermal_point(p, T)
+        for route in (lambda: gibbs(p, 1.0), lambda: ground_state_mixture(p)):
+            with pytest.raises(OverflowError, match="overflows"):
+                route()
+        # Z and ln Z need no element of rho
+        assert partition_function(p, math.inf) == 9.0
+        assert log_partition_function(p, 0.0) == math.log(2.0)
+
+
 def test_off_diagonals_vanish_at_high_t():
     rho = gibbs_analytic(P_REF, 1e6).rho
     off = rho - np.diag(np.diag(rho))
