@@ -23,6 +23,7 @@ from .model import (
     HF_RANGE,
     DomainError,
     ModelParams,
+    analytic_spectrum,
     hamiltonian_tensor,
 )
 from .output import _fmt, csv_text, emit_csv, emit_svg, json_text, write_text
@@ -30,6 +31,8 @@ from .sweeps import (
     FIGURE_NAMES,
     FIGURE_PRESETS,
     ONSET_THRESHOLD,
+    _B_MAX,
+    _DZ_MAX,
     NoOnset,
     SweepError,
     SweepSpec,
@@ -112,7 +115,7 @@ def build_parser():
                     help="B: T=0 ground-level crossings (takes no --T); "
                          "Dz: negativity onset at --T")
     cr.add_argument("--max", dest="axis_max", type=float, default=None,
-                    help="scan limit (default 5 for B, 10 for Dz)")
+                    help=f"scan limit (default {_B_MAX:g} for B, {_DZ_MAX:g} for Dz)")
     cr.add_argument("--threshold", type=float, default=None,
                     help="onset negativity threshold, only with --axis Dz "
                          f"(default {ONSET_THRESHOLD})")
@@ -182,11 +185,14 @@ def _write(text, out):
 
 def _cmd_spectrum(args):
     p, _ = _resolve(args, takes_t=False)
-    eps, chi = level_values(p)
+    if p.r == 0.0:
+        eps, chi1, chi2 = level_values(p), None, None
+    else:
+        spec = analytic_spectrum(p)
+        eps, chi1, chi2 = spec.eps.tolist(), spec.chi1, spec.chi2
     numeric = eigvalsh(hamiltonian_tensor(p)).tolist()
     gap = max(abs(a - b) for a, b in zip(sorted(eps), numeric))
     if args.format == "json":
-        chi1, chi2 = chi or (None, None)
         payload = {
             "params": {"R": p.R, "gamma": p.gamma, "Dz": p.Dz, "B": p.B,
                        "J": p.J, "r": p.r, "theta": p.theta},
@@ -240,17 +246,17 @@ def _cmd_figure(args):
 
 def _cmd_critical(args):
     p, t = _resolve(args, takes_t=args.axis == "Dz")
+    # pass on only the values given; the sweeps signatures hold the defaults
+    given = {"b_max" if args.axis == "B" else "dz_max": args.axis_max, "threshold": args.threshold}
+    given = {name: value for name, value in given.items() if value is not None}
     if args.axis == "B":
-        if args.threshold is not None:
+        if "threshold" in given:
             raise DomainError("--threshold is taken only with --axis Dz")
-        b_max = args.axis_max if args.axis_max is not None else 5.0
-        points = [asdict(cp) for cp in detect_critical_field(p, b_max=b_max)]
+        points = [asdict(cp) for cp in detect_critical_field(p, **given)]
         _write(json.dumps(points, indent=2), args.out)
         return EXIT_OK
-    dz_max = args.axis_max if args.axis_max is not None else 10.0
-    threshold = args.threshold if args.threshold is not None else ONSET_THRESHOLD
     try:
-        cp = detect_critical_dz(p, t, dz_max=dz_max, threshold=threshold)
+        cp = detect_critical_dz(p, t, **given)
     except NoOnset as exc:
         _write(json.dumps({"error": "NoOnset", "detail": str(exc)}, indent=2), args.out)
         return EXIT_OK

@@ -8,11 +8,12 @@ The two-site basis is ordered |-1,-1>, |-1,0>, ..., |1,1> (first spin slow);
 with the sz = diag(1, 0, -1) convention the |-1,-1> diagonal entry is
 g*J + 2B.
 
-The 9x9 Hamiltonian couples through r = sqrt(Dz^2 + J^2) and the phase
-theta = atan2(Dz, J); its spectrum is known in closed form and is exposed
-by analytic_spectrum alongside the labeled eigenvectors.  ModelParams
-works out J, r and theta once, on construction; every other function of
-the package reads them from it (effective_coupling is a view of them).
+H couples through r = sqrt(Dz^2 + J^2) and theta = atan2(Dz, J); its
+spectrum is known in closed form, and the mixing of |-1,1>, |0,0>, |1,-1>
+in levels 8 and 9 is fixed by those two levels (_mixed_pair), from which
+analytic_spectrum builds the labeled eigenvectors.  ModelParams works out
+J, r and theta once, on construction; every other function of the package
+reads them from it (effective_coupling is a view of them).
 
 The levels themselves (diagonal_levels, closed_form_levels) are Python
 floats.  numpy is imported only by the functions that build a matrix, and
@@ -173,8 +174,8 @@ def hamiltonian_closed_form(p: ModelParams) -> np.ndarray:
 @dataclass(frozen=True)
 class AnalyticSpectrum:
     """Closed-form eigenvalues eps[0..8] (labels 1..9) with matching unit
-    eigenvectors in the columns of vecs, plus the chi invariants
-    (chi1 * chi2 = 8 identically)."""
+    eigenvectors in the columns of vecs, plus the published invariants
+    chi1 = -2 eps9 / r and chi2 = 2 eps8 / r (chi1 * chi2 = 8 identically)."""
 
     eps: np.ndarray
     vecs: np.ndarray
@@ -197,41 +198,47 @@ def diagonal_levels(gj: float, b: float) -> tuple:
     return (top, b, -gj, b, 0.0, -b, -gj, -b, bottom)
 
 
-def closed_form_levels(gj: float, b: float, r: float):
-    """The nine levels eps1..eps9 as a tuple of floats, and chi1, chi2, for
-    gamma*J = gj, field b and r > 0.  They depend on (gj, r, b) only.
-    OverflowError when gj^2 + 8 r^2 overflows (r above about 4.7e153),
-    which would make chi1, chi2 and eps8, eps9 infinite or NaN, or gj +- 2b
-    does.  A subnormal gj^2 + 8 r^2 has lost digits: hypot takes the root."""
+def closed_form_levels(gj: float, b: float, r: float) -> tuple:
+    """The nine levels eps1..eps9 as floats for gamma*J = gj, field b and
+    r > 0.  The mixed pair has eps8 - eps9 = root = sqrt(gj^2 + 8 r^2) and
+    eps8 + eps9 = -gj; the one of them that cancels, (root - |gj|) / 2, is
+    4 r (r / (root + |gj|)) (Higham, Accuracy and Stability, 1.8).
+    OverflowError when gj^2 + 8 r^2 overflows (|gj| or r above about
+    4.7e153) or gj +- 2b does.  A subnormal gj^2 + 8 r^2 has lost digits:
+    hypot takes the root."""
     sq = gj * gj + 8.0 * r * r
     root = math.sqrt(sq) if sq >= sys.float_info.min else math.hypot(gj, math.sqrt(8.0) * r)
-    chi1 = (root + gj) / r
-    chi2 = (root - gj) / r
+    s = root + abs(gj)
     top, bottom = gj + 2 * b, gj - 2 * b
-    if not math.isfinite(chi1 + chi2) or math.isinf(top) or math.isinf(bottom):
+    if math.isinf(s) or math.isinf(top) or math.isinf(bottom):
         raise OverflowError(f"closed-form levels overflow at gamma*J = {gj:.3e}, "
                             f"r = {r:.3e}, B = {b:.3e}")
-    eps = (
-        b + r,           # eps1
-        b - r,           # eps2
-        top,             # eps3
-        bottom,          # eps4
-        -gj,             # eps5
-        -b + r,          # eps6
-        -b - r,          # eps7
-        0.5 * r * chi2,  # eps8
-        -0.5 * r * chi1,  # eps9 (sign-corrected: eps8 + eps9 = -gj)
-    )
-    return eps, chi1, chi2
+    far, near = 0.5 * s, 4.0 * r * (r / s)
+    eps8, eps9 = (near, -far) if gj >= 0 else (far, -near)
+    return (b + r, b - r, top, bottom, -gj, -b + r, -b - r, eps8, eps9)
+
+
+def _mixed_pair(eps) -> tuple:
+    """(a, b, root) of the mixed levels: root = eps8 - eps9, a = eps8 / root
+    and b = -eps9 / root, both in [0, 1] with a + b = 1.  Eigenvector 8
+    puts weight a on |-1,1>, |1,-1> and b on |0,0>; eigenvector 9 the reverse."""
+    eps8, eps9 = eps[7], eps[8]
+    root = eps8 - eps9
+    return eps8 / root, -eps9 / root, root
 
 
 def analytic_spectrum(p: ModelParams) -> AnalyticSpectrum:
+    """The AnalyticSpectrum of p; DegenerateCoupling at r = 0, OverflowError
+    where a level or chi overflows (chi where |gamma J| / r is above 9e307)."""
     import numpy as np
 
     if p.r == 0.0:
         raise DegenerateCoupling("r = 0: closed-form spectrum unavailable, use the numeric route")
-    eps, chi1, chi2 = closed_form_levels(p.gamma * p.J, p.B, p.r)
-    eps = np.array(eps)
+    levels = closed_form_levels(p.gamma * p.J, p.B, p.r)
+    chi1, chi2 = -2.0 * levels[8] / p.r, 2.0 * levels[7] / p.r
+    if math.isinf(chi1 + chi2):
+        raise OverflowError(f"chi overflows at gamma*J = {p.gamma * p.J:.3e}, r = {p.r:.3e}")
+    a, b, _ = _mixed_pair(levels)
 
     e1 = np.exp(1j * p.theta)
     e2 = np.exp(2j * p.theta)
@@ -245,12 +252,11 @@ def analytic_spectrum(p: ModelParams) -> AnalyticSpectrum:
     vecs[8, 3] = 1.0
     # |-1,1>=2, |0,0>=4, |1,-1>=6 block
     vecs[2, 4], vecs[6, 4] = -e2 * s2, s2
-    n8 = math.sqrt(chi1 * chi1 + 8.0)
-    vecs[2, 7], vecs[4, 7], vecs[6, 7] = 2 * e2 / n8, chi1 * e1 / n8, 2 / n8
-    n9 = math.sqrt(chi2 * chi2 + 8.0)
-    vecs[2, 8], vecs[4, 8], vecs[6, 8] = 2 * e2 / n9, -chi2 * e1 / n9, 2 / n9
+    ha, hb = math.sqrt(0.5 * a), math.sqrt(0.5 * b)
+    vecs[2, 7], vecs[4, 7], vecs[6, 7] = ha * e2, math.sqrt(b) * e1, ha
+    vecs[2, 8], vecs[4, 8], vecs[6, 8] = hb * e2, -math.sqrt(a) * e1, hb
     # |0,1>=5, |1,0>=7 block
     vecs[5, 5], vecs[7, 5] = e1 * s2, s2
     vecs[5, 6], vecs[7, 6] = -e1 * s2, s2
 
-    return AnalyticSpectrum(eps=eps, vecs=vecs, chi1=chi1, chi2=chi2)
+    return AnalyticSpectrum(eps=np.array(levels), vecs=vecs, chi1=chi1, chi2=chi2)

@@ -31,6 +31,7 @@ DZ_SCAN_STEP = 1e-2
 #: smallest negativity counted as a visible onset; finite-T negativity is
 #: never exactly zero near Dz = 0, only exponentially small
 ONSET_THRESHOLD = 1e-3
+_B_MAX, _DZ_MAX = 5.0, 10.0    # default limits of the B and Dz critical-point scans
 
 
 class SweepError(RuntimeError):
@@ -146,13 +147,13 @@ def run_sweep(spec: SweepSpec, label: Optional[str] = None) -> SweepResult:
     return SweepResult(rows=rows, meta=meta)
 
 
-def _check_finite(name: str, value: float):
-    """A scan limit or threshold must be finite: NaN ends a scan at once or never."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+def _check_limit(name: str, value: float):
+    """A scan limit or threshold must be finite (NaN ends a scan at once or never) and >= 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
-def detect_critical_field(p: ModelParams, b_max: float = 5.0) -> list:
+def detect_critical_field(p: ModelParams, b_max: float = _B_MAX) -> list:
     """T = 0 level crossings in B on [0, b_max], exact.
 
     A crossing is any change of the ground-level identity; each one shows
@@ -162,9 +163,9 @@ def detect_critical_field(p: ModelParams, b_max: float = 5.0) -> list:
     are tied, as in ground_state_mixture: levels meeting at one field are
     one crossing, and a B = 0 degeneracy the field lifts is one at 0.0.
     """
-    _check_finite("b_max", b_max)
-    c = level_values(replace(p, B=0.0))[0]
-    s = [round(e - e0) for e0, e in zip(c, level_values(replace(p, B=1.0))[0])]
+    _check_limit("b_max", b_max)
+    c = level_values(replace(p, B=0.0))
+    s = [round(e - e0) for e0, e in zip(c, level_values(replace(p, B=1.0)))]
     b, e = 0.0, c
     c_min = min(c)
     tied = [i for i in range(9) if c[i] - c_min < GROUND_DEGENERACY_TOL]
@@ -187,24 +188,27 @@ def detect_critical_field(p: ModelParams, b_max: float = 5.0) -> list:
             for x in crossings if x <= b_max]
 
 
-def detect_critical_dz(p: ModelParams, T: float, dz_max: float = 10.0,
+def detect_critical_dz(p: ModelParams, T: float, dz_max: float = _DZ_MAX,
                        threshold: float = ONSET_THRESHOLD) -> CriticalPoint:
-    """Smallest Dz >= 0 where negativity exceeds the onset threshold."""
+    """Smallest Dz >= 0 where negativity exceeds the onset threshold.  The
+    scan steps by DZ_SCAN_STEP and ends at dz_max itself, then bisects."""
     inverse_temperature(T)
-    _check_finite("dz_max", dz_max)
-    _check_finite("threshold", threshold)
+    _check_limit("dz_max", dz_max)
+    _check_limit("threshold", threshold)
 
     def n_at(dz):
         return thermal_point(replace(p, Dz=dz), T)[2]
 
     if n_at(0.0) > threshold:
         raise NoOnset(f"negativity already exceeds {threshold} at Dz = 0")
-    lo, dz = 0.0, DZ_SCAN_STEP
-    while dz <= dz_max and n_at(dz) <= threshold:
-        lo, dz = dz, dz + DZ_SCAN_STEP
-    if dz > dz_max:
-        raise NoOnset(f"negativity stays below {threshold} up to Dz = {dz_max}")
-    hi = dz
+    lo = 0.0
+    while True:
+        hi = min(lo + DZ_SCAN_STEP, dz_max)
+        if n_at(hi) > threshold:
+            break
+        if hi == dz_max:
+            raise NoOnset(f"negativity stays below {threshold} up to Dz = {dz_max}")
+        lo = hi
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if n_at(mid) > threshold:

@@ -5,15 +5,13 @@ and the phase theta, and _state is its one construction: it reads the
 nine levels as floats (level_values, from the J and r that ModelParams
 holds), weights them (_weights) and returns Z, ln Z, the ground energy
 and the ten elements (r11, r22, r24, r33, r35, r37, r55, r66, r68, r99)
-of rho, from chi1, chi2 when r > 0 (_rho_elements) and from the basis
-weights at r = 0, where H and rho are diagonal.  Every route reads it:
-thermal_point takes the negativity of the elements
+of rho, from the levels alone when r > 0 (_rho_elements) and from the
+basis weights at r = 0, where H and rho are diagonal.  Every route reads
+it: thermal_point takes the negativity of the elements
 (entanglement.element_negativity) with no matrix and no numpy; gibbs and
 ground_state_mixture (beta = inf) expand them into the 9x9 matrix
-(_analytic_rho) with the theta of ModelParams.  partition_function and
-log_partition_function take Z and ln Z (which stays finite where Z
-overflows) from the same levels and weights without the elements, so
-they stay defined where _rho_elements overflows (|chi| above 1.3e154).
+(_analytic_rho) with the theta of ModelParams; partition_function and
+log_partition_function (finite where Z overflows) take Z and ln Z.
 gibbs_numeric diagonalizes the tensor-product Hamiltonian with the Jacobi
 kernel; it is the independent reference that validate and the tests
 compare against, entrywise to 1e-10, which checks the closed forms (and
@@ -40,6 +38,7 @@ from .model import (
     DegenerateCoupling,
     DomainError,
     ModelParams,
+    _mixed_pair,
     closed_form_levels,
     diagonal_levels,
     hamiltonian_tensor,
@@ -78,14 +77,13 @@ def inverse_temperature(T: float, allow_zero: bool = False) -> float:
     return beta
 
 
-def level_values(p: ModelParams):
-    """The nine levels of H as floats and (chi1, chi2), with no matrix:
-    closed_form_levels (labels 1..9) when r > 0; at r = 0, where H is
-    diagonal, diagonal_levels (labels are basis indices + 1) and None."""
+def level_values(p: ModelParams) -> tuple:
+    """The nine levels of H as floats, with no matrix: closed_form_levels
+    (labels 1..9) when r > 0; at r = 0, where H is diagonal,
+    diagonal_levels (labels are basis indices + 1)."""
     if p.r == 0.0:
-        return diagonal_levels(p.gamma * p.J, p.B), None
-    eps, chi1, chi2 = closed_form_levels(p.gamma * p.J, p.B, p.r)
-    return eps, (chi1, chi2)
+        return diagonal_levels(p.gamma * p.J, p.B)
+    return closed_form_levels(p.gamma * p.J, p.B, p.r)
 
 
 def _weights(eps, beta: float):
@@ -115,23 +113,17 @@ def _z_and_log_z(zs: float, beta: float, eps_min: float) -> tuple:
     return zs * math.exp(x) if x < 700.0 else math.inf, math.log(zs) + x
 
 
-def _z_pair(p: ModelParams, beta: float) -> tuple:
-    """(Z, ln Z) of _state, from the levels and weights alone."""
-    _, zs, eps_min = _weights(level_values(p)[0], beta)
-    return _z_and_log_z(zs, beta, eps_min)
-
-
 def partition_function(p: ModelParams, T: float) -> float:
     """Z = sum_i exp(-beta eps_i), overflow-safe via the spectral shift."""
-    return _z_pair(p, inverse_temperature(T))[0]
+    return _state(p, inverse_temperature(T))[0]
 
 
 def log_partition_function(p: ModelParams, T: float) -> float:
-    """ln Z from the same weights as thermal_point's Z, so exp(ln Z) is Z
+    """ln Z of the same _state as thermal_point's Z, so exp(ln Z) is Z
     wherever Z is finite; it stays finite below T ~ 1e-3, where Z
     overflows.  T = 0 is allowed and gives the log of the ground-level
     degeneracy that T = 0 rows report as Z."""
-    return _z_pair(p, inverse_temperature(T, allow_zero=True))[1]
+    return _state(p, inverse_temperature(T, allow_zero=True))[1]
 
 
 def gibbs_numeric(p: ModelParams, T: float) -> ThermalState:
@@ -147,39 +139,30 @@ def gibbs_numeric(p: ModelParams, T: float) -> ThermalState:
                         ground_energy=eps_min)
 
 
-def _rho_elements(chi1: float, chi2: float, u) -> tuple:
+def _rho_elements(eps, r: float, u) -> tuple:
     """The ten real elements (r11, r22, r24, r33, r35, r37, r55, r66, r68,
-    r99) of zs * rho for weights u_i of the nine labeled levels (sum zs):
-    the shifted Boltzmann weights, or at T = 0 the ground-level indicators.
-    Every other entry of rho is one of these, times a phase of theta
-    (see _analytic_rho), or zero.
-
-    The hyperbolic forms of the published elements are recovered exactly,
-    e.g. rho22*Z = e^{-bB} cosh(b r) = (u1 + u2)/2 up to the common shift,
-    and rho35*Z = -4 e^{b g J/2} sinh(b r (chi1+chi2)/4) / (chi1+chi2)
-    = 2 chi1 u8/(chi1^2+8) - 2 chi2 u9/(chi2^2+8) via chi1 chi2 = 8.
-
-    OverflowError where chi1^2 + 8 or chi2^2 + 8 overflows (|chi| above
-    about 1.3e154, e.g. |gamma J| / r above 6.7e153), which would make
-    r55 = inf/inf a NaN.  One test covers both: chi1 chi2 = 8 keeps the
-    smaller one near 8, so their sum is infinite exactly when one is.
+    r99) of zs * rho for the nine levels eps at r > 0 and their weights u_i
+    (sum zs): the shifted Boltzmann weights, or at T = 0 the ground-level
+    indicators.  Every other entry of rho is one of these, times a phase of
+    theta (see _analytic_rho), or zero.  The pair eps8, eps9 enters through
+    its mixing weights a, b (_mixed_pair), and r35 through
+    sqrt(a b / 2) = r / root.  The published hyperbolic forms are recovered
+    exactly, e.g. rho22*Z = e^{-beta B} cosh(beta r) = (u1 + u2)/2 up to the shift.
     """
+    a, b, root = _mixed_pair(eps)
     u1, u2, u3, u4, u5, u6, u7, u8, u9 = u
-    d8 = chi1 * chi1 + 8.0
-    d9 = chi2 * chi2 + 8.0
-    if d8 + d9 == math.inf:
-        raise OverflowError(f"chi^2 + 8 overflows at chi1 = {chi1:.3e}, chi2 = {chi2:.3e}")
+    mixed = a * u8 + b * u9
     return (
-        u3,                                               # r11
-        0.5 * (u1 + u2),                                  # r22
-        0.5 * (u1 - u2),                                  # r24
-        0.5 * u5 + 4.0 * u8 / d8 + 4.0 * u9 / d9,         # r33
-        2.0 * chi1 * u8 / d8 - 2.0 * chi2 * u9 / d9,      # r35
-        0.5 * (-u5 + 8.0 * u8 / d8 + 8.0 * u9 / d9),      # r37
-        chi1 * chi1 * u8 / d8 + chi2 * chi2 * u9 / d9,    # r55
-        0.5 * (u6 + u7),                                  # r66
-        0.5 * (u6 - u7),                                  # r68
-        u4,                                               # r99
+        u3,                         # r11
+        0.5 * (u1 + u2),            # r22
+        0.5 * (u1 - u2),            # r24
+        0.5 * (u5 + mixed),         # r33
+        r / root * (u8 - u9),       # r35
+        0.5 * (mixed - u5),         # r37
+        b * u8 + a * u9,            # r55
+        0.5 * (u6 + u7),            # r66
+        0.5 * (u6 - u7),            # r68
+        u4,                         # r99
     )
 
 
@@ -190,13 +173,13 @@ def _state(p: ModelParams, beta: float) -> tuple:
     product basis, and the elements are the basis weights: the swapped
     product states |a,b> and |b,a> have equal levels, so the weights fill
     the diagonal of _analytic_rho exactly."""
-    eps, chi = level_values(p)
+    eps = level_values(p)
     u, zs, eps_min = _weights(eps, beta)
-    if chi is None:
+    if p.r == 0.0:
         u1, u2, u3, _, u5, u6, _, _, u9 = u
         elements = (u1, u2, 0.0, u3, 0.0, 0.0, u5, u6, 0.0, u9)
     else:
-        elements = _rho_elements(*chi, u)
+        elements = _rho_elements(eps, p.r, u)
     return (*_z_and_log_z(zs, beta, eps_min), eps_min, tuple(x / zs for x in elements))
 
 

@@ -227,8 +227,8 @@ def check_oracle(seed=13):
 def check_negativity_routes(n_draws=100, seed=20240903):
     """negativity(rho) and the closed-form thermal_point vs dense Jacobi
     (hermitian_eig) on the whole partial transpose, for states from every
-    route a sweep point can take: the closed form, the numeric fallback at
-    r = 0 and the T = 0 mixture.  Each draw also takes the states whose 3x3
+    branch a sweep point can take: the closed form at r > 0, the diagonal
+    state at r = 0 and the T = 0 mixture.  Each draw also takes the states whose 3x3
     partial-transpose block has nearly equal eigenvalues, where
     element_negativity falls back to Jacobi: T in [1e3, 1e9], and T = 0 at
     the exact field crossings in [0, 3] of the drawn couplings.

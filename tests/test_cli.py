@@ -280,6 +280,10 @@ def test_negative_inf_and_nan_reach_the_model_check(value, capsys):
      "--threshold", "nan"],
     ["critical", "--axis", "B", "--R", "1", "--Dz", "1", "--max", "nan"],
     ["sweep", "--vary", "B", "--from", "0", "--to", "1e-11", "--steps", "3", "--R", "0.5"],
+    ["critical", "--axis", "B", "--R", "1", "--Dz", "1", "--max", "-1"],
+    ["critical", "--axis", "Dz", "--R", "0.3", "--B", "0.5", "--T", "0.08", "--max", "-1"],
+    ["critical", "--axis", "Dz", "--R", "0.3", "--B", "0.5", "--T", "0.08",
+     "--threshold", "-1"],
 ])
 def test_bad_scan_and_grid_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -383,14 +387,10 @@ def test_huge_r_has_zero_coupling(argv, capsys):
     ["negativity", "--J", "0", "--Dz", "0", "--B", "1e308", "--T", "1"],
     ["spectrum", "--R", "0.5", "--Dz", "1", "--B", "1e308"],
     ["spectrum", "--J", "0", "--Dz", "0", "--B", "1e308"],
-    # chi1^2 + 8 (gamma > 0) or chi2^2 + 8 (gamma < 0) overflows in rho
-    ["negativity", "--J", "1e-50", "--gamma", "1e200", "--Dz", "0", "--T", "1"],
-    ["negativity", "--J", "1e-50", "--gamma", "-1e200", "--Dz", "0", "--T", "1"],
-    ["sweep", "--vary", "T", "--from", "0.5", "--to", "1", "--steps", "3",
-     "--J", "1e-50", "--gamma", "1e200", "--Dz", "0"],
+    # the levels are finite, but chi1 = -2 eps9 / r is not
+    ["spectrum", "--J", "5e-324", "--gamma", "1e308", "--Dz", "0"],
 ], ids=["spectrum", "negativity", "critical-B", "negativity-field", "negativity-field-r0",
-        "spectrum-field", "spectrum-field-r0", "negativity-chi1", "negativity-chi2",
-        "sweep-chi1"])
+        "spectrum-field", "spectrum-field-r0", "spectrum-chi"])
 def test_overflow_exits_3(argv, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -398,13 +398,26 @@ def test_overflow_exits_3(argv, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_critical_field_runs_where_rho_overflows(capsys):
-    # the crossings read only the levels, which stay finite there
+@pytest.mark.parametrize("argv", [
+    ["negativity", "--J", "1e-50", "--gamma", "1e200", "--Dz", "0", "--T", "1"],
+    ["negativity", "--J", "1e-50", "--gamma", "-1e200", "--Dz", "0", "--T", "1"],
+    ["sweep", "--vary", "T", "--from", "0.5", "--to", "1", "--steps", "3",
+     "--J", "1e-50", "--gamma", "1e200", "--Dz", "0"],
+    ["critical", "--axis", "B", "--J", "1e-50", "--gamma", "1e200", "--Dz", "0"],
+], ids=["negativity-chi1", "negativity-chi2", "sweep-chi1", "critical-B"])
+def test_runs_where_chi_is_huge(argv, capsys):
+    # |gamma J| / r = 1e200 makes chi1 (gamma > 0) or chi2 (gamma < 0) about
+    # 2e200; the state reads only the levels eps8 and eps9, which stay finite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["critical", "--axis", "B", "--J", "1e-50", "--gamma", "1e200",
-                     "--Dz", "0"]) == 0
-    assert isinstance(json.loads(capsys.readouterr().out), list)
+        assert main(argv) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "critical":
+        assert isinstance(json.loads(out), list)
+        return
+    rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in out.splitlines()[1:]]
+    assert len(rows) == (3 if argv[0] == "sweep" else 1)
+    assert all(row["negativity"] == "0.0" for row in rows)
 
 
 @pytest.mark.parametrize("argv", [
@@ -532,7 +545,7 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
         ["negativity", "--R", "abc"],                              # argparse, exit 2
         ["frobnicate"],                                            # argparse, exit 2
         ["--version"],
-        ["negativity", "--J", "1e-50", "--gamma", "1e200", "--Dz", "0"],  # exit 3
+        ["negativity", "--R", "0.5", "--Dz", "1", "--B", "1e308"],  # exit 3
         ["negativity", "--R", "8", "--T", "0.5"],                  # R-window warning
         ["negativity", "--B", "-inf"],                             # DomainError
         ["negativity", "--R", "1.5", "--Dz", "-0.5", "--T", "0"],

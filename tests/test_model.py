@@ -78,15 +78,14 @@ def test_closed_form_levels_overflow_raises():
         closed_form_levels(1e200, 0.0, 1e200)
     with pytest.raises(OverflowError):
         closed_form_levels(math.inf, 0.0, 1e200)
-    eps, chi1, chi2 = closed_form_levels(1e150, 0.0, 1e150)
-    assert all(math.isfinite(x) for x in (*eps, chi1, chi2))
+    assert all(math.isfinite(x) for x in closed_form_levels(1e150, 0.0, 1e150))
     # the product-state levels gamma*J +- 2B, with and without coupling
     for b in (1e308, -1e308):
         with pytest.raises(OverflowError):
             closed_form_levels(0.1, b, 1.0)
         with pytest.raises(OverflowError):
             diagonal_levels(0.0, b)
-    assert math.isfinite(closed_form_levels(0.1, 8.9e307, 1.0)[0][2])
+    assert math.isfinite(closed_form_levels(0.1, 8.9e307, 1.0)[2])
     assert diagonal_levels(0.0, 8.9e307)[0] == 1.78e308
 
 
@@ -256,6 +255,16 @@ def test_analytic_vs_numeric_spectrum(p):
     assert np.max(np.linalg.norm(res, axis=0)) < 1e-12
     assert abs(spec.chi1 * spec.chi2 - 8.0) < 1e-12
     assert abs(spec.eps.sum()) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [1e200, -1e200])
+def test_analytic_spectrum_where_chi_is_huge(gamma):
+    # |gamma J| / r = 1e200: chi1 (gamma > 0) or chi2 (gamma < 0) is about
+    # 2e200, so chi^2 + 8 overflows, yet eigenvectors 8 and 9 stay unit vectors
+    spec = analytic_spectrum(ModelParams(j_override=1e-50, gamma=gamma))
+    assert np.max(np.abs(np.linalg.norm(spec.vecs, axis=0) - 1.0)) < 1e-12
+    assert abs(spec.chi1 * spec.chi2 - 8.0) < 1e-12
+    assert spec.eps[7] + spec.eps[8] == -gamma * 1e-50
 
 
 def test_eigenvectors_unit_norm():

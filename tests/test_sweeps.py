@@ -21,7 +21,7 @@ from qutritxxz.sweeps import (
     figure_preset,
     run_sweep,
 )
-from qutritxxz.thermal import GROUND_DEGENERACY_TOL, level_values
+from qutritxxz.thermal import GROUND_DEGENERACY_TOL, level_values, thermal_point
 from qutritxxz.validate import _field_crossings
 
 
@@ -181,7 +181,7 @@ def test_critical_field_none_without_coupling():
 
 
 def _levels(p: ModelParams) -> np.ndarray:
-    return np.array(level_values(p)[0])
+    return np.array(level_values(p))
 
 
 def _ground_set(p: ModelParams, b: float) -> frozenset:
@@ -229,8 +229,6 @@ def test_critical_field_exact_cases():
     assert _ground_set(p, 0.0) == {1, 2, 3, 6, 8}
     assert np.max(np.abs(eps[[1, 2, 3, 6, 8]] + p.r)) < 1e-15
     assert [cp.value for cp in detect_critical_field(p, b_max=2.0)] == [0.0]
-    # a scan limit below zero leaves nothing to scan
-    assert detect_critical_field(p, b_max=-1.0) == []
 
 
 @pytest.mark.parametrize("r", [0.3, 1.0, 1.25, 2.7])
@@ -254,7 +252,7 @@ def test_critical_field_takes_two_spectra(monkeypatch):
     assert calls == [0.0, 1.0]
 
 
-@pytest.mark.parametrize("b_max", [float("nan"), float("inf")])
+@pytest.mark.parametrize("b_max", [float("nan"), float("inf"), -1.0])
 def test_critical_field_rejects_non_finite_limit(b_max):
     with pytest.raises(ValueError, match="b_max must be finite"):
         detect_critical_field(ModelParams(R=1.0, Dz=1.0), b_max=b_max)
@@ -263,6 +261,8 @@ def test_critical_field_rejects_non_finite_limit(b_max):
 @pytest.mark.parametrize("kwargs, match", [
     ({"dz_max": float("nan")}, "dz_max must be finite"),
     ({"threshold": float("nan")}, "threshold must be finite"),
+    ({"dz_max": -1.0}, "dz_max must be finite and non-negative"),
+    ({"threshold": -1.0}, "threshold must be finite and non-negative"),
 ])
 def test_critical_dz_rejects_bad_scan_inputs(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -289,6 +289,26 @@ def test_critical_dz_onset_monotone_in_r_and_b():
     assert by_r[0] > by_r[1] > by_r[2]
     by_b = [onset(0.5, b) for b in (0.5, 0.8, 1.1)]
     assert by_b[0] < by_b[1] < by_b[2]
+
+
+def test_critical_dz_scan_ends_at_its_limit(monkeypatch):
+    # the onset lies at Dz = 0.14788, between the scan points 0.14 and 0.15;
+    # a limit of 0.149 must still be scanned, and nothing beyond it
+    p = ModelParams(R=2.5, B=0.5)
+    seen = []
+
+    def recorded(q, T):
+        seen.append(q.Dz)
+        return thermal_point(q, T)
+
+    monkeypatch.setattr(sweeps, "thermal_point", recorded)
+    cp = detect_critical_dz(p, T=0.08, dz_max=0.149)
+    assert 0.14 < cp.value < 0.149 and cp.bracket[1] - cp.bracket[0] <= 1e-8
+    assert max(seen) == 0.149
+    seen.clear()
+    with pytest.raises(NoOnset, match="up to Dz = 0.147"):
+        detect_critical_dz(p, T=0.08, dz_max=0.147)
+    assert seen[-1] == max(seen) == 0.147
 
 
 def test_critical_dz_no_onset_when_already_entangled():

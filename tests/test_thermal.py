@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from qutritxxz.model import (
 )
 from qutritxxz.thermal import (
     GROUND_DEGENERACY_TOL,
+    _state,
     gibbs,
     gibbs_analytic,
     gibbs_numeric,
     ground_state_mixture,
+    inverse_temperature,
     level_values,
     log_partition_function,
     partition_function,
@@ -130,21 +133,81 @@ def test_analytic_elements_match_printed_forms():
 
 
 @pytest.mark.parametrize("gamma", [1e200, -1e200])
-def test_gibbs_raises_where_chi_squared_overflows(gamma):
+def test_state_is_finite_where_chi_is_huge(gamma):
     # gamma J / r = 1e200 makes chi1 (gamma > 0) or chi2 (gamma < 0) about
-    # 2e200, so chi^2 + 8 is inf and r55 would be inf/inf = NaN
+    # 2e200, so chi^2 + 8 overflows; the elements read only the levels
+    # eps8 and eps9, and the ground pair is an equal mixture of two
+    # product-like states, so N = 0
     p = ModelParams(j_override=1e-50, gamma=gamma)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for T in (1.0, 0.0, math.inf):
-            with pytest.raises(OverflowError, match="overflows"):
-                thermal_point(p, T)
-        for route in (lambda: gibbs(p, 1.0), lambda: ground_state_mixture(p)):
-            with pytest.raises(OverflowError, match="overflows"):
-                route()
-        # Z and ln Z need no element of rho
+            elements = _state(p, inverse_temperature(T, allow_zero=True))[3]
+            r11, r22, _, r33, _, _, r55, r66, _, r99 = elements
+            assert all(math.isfinite(x) for x in elements)
+            assert math.fsum((r11, 2 * r22, 2 * r33, r55, 2 * r66, r99)) == pytest.approx(
+                1.0, abs=1e-15)
+            assert thermal_point(p, T)[2] == 0.0
+        for state in (gibbs(p, 1.0), ground_state_mixture(p)):
+            assert np.all(np.isfinite(state.rho))
+            assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-15)
         assert partition_function(p, math.inf) == 9.0
         assert log_partition_function(p, 0.0) == math.log(2.0)
+
+
+def _decimal_jacobi(a):
+    """Eigenvalues and eigenvector columns of the real symmetric matrix a
+    (lists of Decimal), by cyclic Jacobi at the current decimal precision."""
+    n = len(a)
+    a = [row[:] for row in a]
+    v = [[Decimal(int(i == j)) for j in range(n)] for i in range(n)]
+    scale = sum(x * x for row in a for x in row)
+    for _ in range(30):
+        off = sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j)
+        if off <= scale * Decimal(10) ** (-2 * getcontext().prec + 4):
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if a[p][q] == 0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2 * a[p][q])
+                t = (1 if theta >= 0 else -1) / (abs(theta) + (theta * theta + 1).sqrt())
+                c = 1 / (t * t + 1).sqrt()
+                s = t * c
+                for m in (a, v):          # columns p and q
+                    for k in range(n):
+                        x, y = m[k][p], m[k][q]
+                        m[k][p], m[k][q] = c * x - s * y, s * x + c * y
+                for k in range(n):        # rows p and q
+                    x, y = a[p][k], a[q][k]
+                    a[p][k], a[q][k] = c * x - s * y, s * x + c * y
+    return [a[i][i] for i in range(n)], v
+
+
+def _decimal_negativity(p: ModelParams, T: float) -> Decimal:
+    """N of exp(-H/T)/Z at 50 digits: the real tensor-product H (theta = 0)
+    diagonalized, exponentiated and partially transposed in Decimal."""
+    h = hamiltonian_tensor(p)
+    assert not h.imag.any()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        w, v = _decimal_jacobi([[Decimal(float(x)) for x in row] for row in h.real])
+        u = [(-(e - min(w)) / Decimal(T)).exp() for e in w]
+        rho = [[sum(v[i][k] * u[k] * v[j][k] for k in range(9)) / sum(u) for j in range(9)]
+               for i in range(9)]
+        # swap the first qutrit's indices: |a,b><c,d| -> |c,b><a,d|
+        pt = [[rho[3 * (j // 3) + i % 3][3 * (i // 3) + j % 3] for j in range(9)]
+              for i in range(9)]
+        return -sum(x for x in _decimal_jacobi(pt)[0] if x < 0)
+
+
+def test_thermal_point_at_large_anisotropy_matches_decimal_reference():
+    # at gamma J = 2e4 >> r = 0.2 the pair eps8, eps9 is far from symmetric;
+    # the closed form must not lose the small level to cancellation
+    p, T = ModelParams(j_override=0.2, gamma=1e5), 1000.0
+    reference = _decimal_negativity(p, T)
+    assert float(reference) == pytest.approx(9.998888790203519e-06, rel=1e-14)
+    assert thermal_point(p, T)[2] == pytest.approx(float(reference), rel=1e-9)
 
 
 def test_off_diagonals_vanish_at_high_t():
@@ -229,7 +292,7 @@ def test_r0_routes_match_jacobi(rng):
         assert np.max(np.abs(fast.rho - ref.rho)) < 1e-15
         assert fast.Z == pytest.approx(ref.Z, rel=1e-15)
         assert fast.ground_energy == ref.ground_energy
-        eps = np.array(level_values(p)[0])
+        eps = np.array(level_values(p))
         assert np.array_equal(np.sort(eps), hermitian_eig(hamiltonian_tensor(p)).eigenvalues)
         assert ground_state_mixture(p).ground_energy == eps.min()
 
@@ -390,7 +453,7 @@ def test_tiny_temperature_weights_underflow_without_warnings():
 def test_infinite_temperature_with_overflowing_level_spread(p):
     # the levels are finite but their spread overflows; -0 * inf would make
     # the weights NaN, and at beta = 0 they are all exactly 1.0
-    eps, _ = level_values(p)
+    eps = level_values(p)
     assert all(math.isfinite(e) for e in eps) and max(eps) - min(eps) == math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
