@@ -42,7 +42,7 @@ from .sweeps import (
     figure_preset,
     run_sweep,
 )
-from .thermal import level_values, log_partition_function
+from .thermal import level_values
 from .validate import validate
 
 EXIT_OK = 0
@@ -213,10 +213,10 @@ def _cmd_spectrum(args):
 
 def _cmd_negativity(args):
     p, t = _resolve(args)
-    row = {"grid_param": "T", "grid_value": t, **_point(p, t)}
+    # ln Z stays finite where Z overflows; the CSV keeps its fixed header
+    row = {"grid_param": "T", "grid_value": t, **_point(p, t, with_ln_z=args.format == "json")}
     if args.format == "json":
-        # ln Z stays finite where Z overflows; the CSV keeps its fixed header
-        _write(json_text({**row, "ln_Z": log_partition_function(p, t)}), args.out)
+        _write(json_text(row), args.out)
     else:
         _write(csv_text([row]), args.out)
     return EXIT_OK

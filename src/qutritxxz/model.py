@@ -12,8 +12,9 @@ H couples through r = sqrt(Dz^2 + J^2) and theta = atan2(Dz, J); its
 spectrum is known in closed form, and the mixing of |-1,1>, |0,0>, |1,-1>
 in levels 8 and 9 is fixed by those two levels (_mixed_pair), from which
 analytic_spectrum builds the labeled eigenvectors.  ModelParams works out
-J, r and theta once, on construction; every other function of the package
-reads them from it (effective_coupling is a view of them).
+J, r and theta once, on construction, and its one-field copy (_with)
+works out again only those that the field changes; every other function
+of the package reads them from it (effective_coupling is a view of them).
 
 The levels themselves (diagonal_levels, closed_form_levels) are Python
 floats.  numpy is imported only by the functions that build a matrix, and
@@ -108,7 +109,8 @@ class ModelParams:
 
     J, r = sqrt(Dz^2 + J^2) and theta = atan2(Dz, J) (0 where r = 0) are
     worked out once, on construction, and read as attributes.  They are not
-    fields, so init, repr, == and hash see only the five parameters."""
+    fields, so init, repr, == and hash see only the five parameters.  _with
+    is the one-field copy that sweeps use per row."""
 
     R: float = 0.5
     gamma: float = 1.0
@@ -128,6 +130,32 @@ class ModelParams:
         object.__setattr__(self, "J", j)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "theta", math.atan2(self.Dz, j) if r else 0.0)
+
+    def _with(self, name: str, value: float) -> "ModelParams":
+        """A copy of self with one of R, Dz or B set to value: equal, in ==,
+        repr, hash, J, r and theta, to replace(self, B=value),
+        replace(self, Dz=value) or replace(self, R=value, j_override=None).
+        It checks value as construction does, with the same DomainError,
+        and derives only what the field changes: nothing for B, r and theta
+        for Dz, and J, r and theta for R.  Sweeps build a row's parameters
+        here, so a B or Dz row does not rerun hf_coupling."""
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+        q = object.__new__(ModelParams)
+        d = q.__dict__
+        d.update(self.__dict__)
+        d[name] = value
+        if name == "R":
+            if value <= 0:
+                raise DomainError(f"R must be positive without a direct-J override, got {value}")
+            d["j_override"] = None
+            d["J"] = hf_coupling(value)
+        elif name == "B":
+            return q
+        r = math.hypot(d["Dz"], d["J"])
+        d["r"] = r
+        d["theta"] = math.atan2(d["Dz"], d["J"]) if r else 0.0
+        return q
 
     def in_hf_window(self) -> bool:
         lo, hi = HF_RANGE

@@ -1,8 +1,10 @@
 """CSV and SVG emission for sweep results, and the one file writer.
 
 Numbers are written with Python's shortest round-trip repr so that a
-rerun of the same sweep is byte-identical.  The SVG is a bare polyline
-chart: one polyline per curve on linear axes, nothing configurable.
+rerun of the same sweep is byte-identical; csv_text formats each distinct
+float once per call and reuses its text, which changes no byte.  The SVG
+is a bare polyline chart: one polyline per curve on linear axes, nothing
+configurable.
 Every file the package writes goes through ``write_text``.
 """
 
@@ -59,9 +61,30 @@ def json_text(payload) -> str:
 
 
 def csv_text(rows) -> str:
-    """The fixed schema header, then one line per sweep row."""
+    """The fixed schema header, then one line per sweep row.
+
+    Grid rows repeat most of their cells (T, Dz, R, gamma, J, r and theta
+    stay fixed along most axes), so each distinct float is formatted once
+    per call: the dict text_of, which lives for this call only, maps it to
+    the text _fmt gives it.  It holds only cells whose type is exactly
+    float, since 1, 1.0 and True are equal keys that print differently, and
+    an np.float64 prints unlike the float of the same value.  -0.0 and 0.0
+    share an entry, as both print 0.0.  The text is the same as formatting
+    every cell, so reruns stay byte-identical."""
+    text_of = {}
     lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(_fmt(row[col]) for col in CSV_COLUMNS) for row in rows]
+    for row in rows:
+        cells = []
+        for col in CSV_COLUMNS:
+            x = row[col]
+            if type(x) is float:
+                text = text_of.get(x)
+                if text is None:
+                    text = text_of[x] = _fmt(x)
+            else:
+                text = _fmt(x)
+            cells.append(text)
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 

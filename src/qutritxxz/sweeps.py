@@ -2,10 +2,15 @@
 
 A sweep varies one of T, B, Dz, R over a uniform grid with everything
 else fixed, recording (J, r, theta, Z, ground energy, negativity) per
-point.  Every point, and every step of the Dz onset scan, comes from
-thermal.thermal_point, which builds no 9x9 matrix.  T = 0 grid points use
-the exact ground-level mixture, which makes the field-sweep entanglement
-plateaus sharp instead of smeared by a tiny temperature.
+point.  A row derives only what its grid value changes: its parameters
+are the fixed ones copied with that one field set (ModelParams._with), so
+a B row reruns none of J, r and theta, a Dz row only r and theta, and a T
+row none, and the thermal numbers come from one thermal state
+(thermal._point_values, the body of thermal_point, which builds no 9x9
+matrix).  The Dz onset scan and the field scan copy their parameters the
+same way.  T = 0 grid points use the exact ground-level mixture, which
+makes the field-sweep entanglement plateaus sharp instead of smeared by a
+tiny temperature.
 The T = 0 critical fields, where those plateaus jump, are exact; the
 finite-T Dz onset is stepped and bisected.
 The published figures are one table, FIGURE_PRESETS: per figure the grid,
@@ -18,7 +23,13 @@ from typing import NamedTuple, Optional
 
 from . import __version__
 from .model import SIGN_CONVENTION_NOTE, ModelParams
-from .thermal import GROUND_DEGENERACY_TOL, inverse_temperature, level_values, thermal_point
+from .thermal import (
+    GROUND_DEGENERACY_TOL,
+    _point_values,
+    inverse_temperature,
+    level_values,
+    thermal_point,
+)
 
 CSV_COLUMNS = (
     "grid_param", "grid_value", "T", "B", "Dz", "R", "gamma",
@@ -95,25 +106,26 @@ class CriticalPoint:
     bracket: tuple
 
 
-def _point(p: ModelParams, T: float) -> dict:
-    z, ground_energy, n = thermal_point(p, T)
-    return {
+def _point(p: ModelParams, T: float, with_ln_z: bool = False) -> dict:
+    """One row: the parameters, J, r and theta as p holds them, and Z, the
+    ground energy and N of one thermal state; with_ln_z adds its ln Z
+    last, as "ln_Z"."""
+    z, ln_z, ground_energy, n = _point_values(p, T)
+    rec = {
         "T": T, "B": p.B, "Dz": p.Dz, "R": p.R, "gamma": p.gamma,
         "J": p.J, "r": p.r, "theta": p.theta, "Z": z,
         "ground_energy": ground_energy, "negativity": n,
     }
+    if with_ln_z:
+        rec["ln_Z"] = ln_z
+    return rec
 
 
 def _apply(spec: SweepSpec, value: float):
     """Model params and temperature for one grid point."""
-    p, t = spec.fixed, spec.T
     if spec.vary == "T":
-        t = value
-    elif spec.vary == "R":
-        p = replace(p, R=value, j_override=None)
-    else:
-        p = replace(p, **{spec.vary: value})
-    return p, t
+        return spec.fixed, value
+    return spec.fixed._with(spec.vary, value), spec.T
 
 
 def run_sweep(spec: SweepSpec, label: Optional[str] = None) -> SweepResult:
@@ -164,8 +176,8 @@ def detect_critical_field(p: ModelParams, b_max: float = _B_MAX) -> list:
     one crossing, and a B = 0 degeneracy the field lifts is one at 0.0.
     """
     _check_limit("b_max", b_max)
-    c = level_values(replace(p, B=0.0))
-    s = [round(e - e0) for e0, e in zip(c, level_values(replace(p, B=1.0)))]
+    c = level_values(p._with("B", 0.0))
+    s = [round(e - e0) for e0, e in zip(c, level_values(p._with("B", 1.0)))]
     b, e = 0.0, c
     c_min = min(c)
     tied = [i for i in range(9) if c[i] - c_min < GROUND_DEGENERACY_TOL]
@@ -197,7 +209,7 @@ def detect_critical_dz(p: ModelParams, T: float, dz_max: float = _DZ_MAX,
     _check_limit("threshold", threshold)
 
     def n_at(dz):
-        return thermal_point(replace(p, Dz=dz), T)[2]
+        return thermal_point(p._with("Dz", dz), T)[2]
 
     if n_at(0.0) > threshold:
         raise NoOnset(f"negativity already exceeds {threshold} at Dz = 0")

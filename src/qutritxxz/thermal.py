@@ -7,11 +7,12 @@ holds), weights them (_weights) and returns Z, ln Z, the ground energy
 and the ten elements (r11, r22, r24, r33, r35, r37, r55, r66, r68, r99)
 of rho, from the levels alone when r > 0 (_rho_elements) and from the
 basis weights at r = 0, where H and rho are diagonal.  Every route reads
-it: thermal_point takes the negativity of the elements
-(entanglement.element_negativity) with no matrix and no numpy; gibbs and
-ground_state_mixture (beta = inf) expand them into the 9x9 matrix
-(_analytic_rho) with the theta of ModelParams; partition_function and
-log_partition_function (finite where Z overflows) take Z and ln Z.
+it: thermal_point (and _point_values, which adds ln Z) takes the
+negativity of the elements (entanglement.element_negativity) with no
+matrix and no numpy; gibbs and ground_state_mixture (beta = inf) expand
+them into the 9x9 matrix (_analytic_rho) with the theta of ModelParams;
+partition_function and log_partition_function (finite where Z overflows)
+take Z and ln Z.
 gibbs_numeric diagonalizes the tensor-product Hamiltonian with the Jacobi
 kernel; it is the independent reference that validate and the tests
 compare against, entrywise to 1e-10, which checks the closed forms (and
@@ -235,11 +236,17 @@ def ground_state_mixture(p: ModelParams) -> ThermalState:
     return _thermal_state(p, math.inf)
 
 
+def _point_values(p: ModelParams, T: float) -> tuple:
+    """(Z, ln Z, ground_energy, negativity) of one _state at T >= 0."""
+    z, log_z, ground_energy, elements = _state(p, inverse_temperature(T, allow_zero=True))
+    return z, log_z, ground_energy, element_negativity(elements)
+
+
 def thermal_point(p: ModelParams, T: float) -> tuple:
     """(Z, ground_energy, negativity) of gibbs(p, T), or at T = 0 of
     ground_state_mixture(p), with no 9x9 matrix: the same _state, and the
     negativity of its ten elements (element_negativity).  At r = 0, rho is
     diagonal, so its partial transpose is rho itself and N = +0.0.
     """
-    z, _, ground_energy, elements = _state(p, inverse_temperature(T, allow_zero=True))
-    return z, ground_energy, element_negativity(elements)
+    z, _, ground_energy, n = _point_values(p, T)
+    return z, ground_energy, n

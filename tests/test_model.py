@@ -153,6 +153,81 @@ def test_model_params_holds_j_r_theta():
     assert effective_coupling(q) == (0.0, 0.0, True)
 
 
+def _built(p, name, value):
+    """ModelParams built afresh with p's fields and name = value; setting R
+    drops a direct-J override, as a sweep over R does."""
+    kwargs = {f.name: getattr(p, f.name) for f in fields(ModelParams)}
+    kwargs[name] = value
+    if name == "R":
+        kwargs["j_override"] = None
+    return ModelParams(**kwargs)
+
+
+def _assert_same_params(q, built):
+    assert q == built and repr(q) == repr(built) and hash(q) == hash(built)
+    assert [repr(getattr(q, k)) for k in ("J", "r", "theta")] == \
+        [repr(getattr(built, k)) for k in ("J", "r", "theta")]
+
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+_axis_values = {
+    "R": st.one_of(st.floats(1e-3, 8.0), st.floats(370.0, 1e6), st.just(400.0)),
+    "Dz": st.one_of(_signed_zero, st.floats(-1e3, 1e3)),
+    "B": st.one_of(_signed_zero, st.floats(-1e3, 1e3)),
+}
+_copy_bases = st.builds(
+    ModelParams,
+    R=st.one_of(st.floats(0.05, 8.0), st.just(400.0)),
+    gamma=st.floats(-2.0, 2.0),
+    Dz=st.one_of(_signed_zero, st.floats(-3.0, 3.0)),
+    B=st.floats(-3.0, 3.0),
+    j_override=st.one_of(st.none(), _signed_zero, st.floats(-2.0, 2.0)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_copy_bases,
+       st.sampled_from(sorted(_axis_values)).flatmap(
+           lambda name: st.tuples(st.just(name), _axis_values[name])))
+def test_one_field_copy_equals_construction(p, axis):
+    name, value = axis
+    _assert_same_params(p._with(name, value), _built(p, name, value))
+
+
+@pytest.mark.parametrize("p, name, value", [
+    (ModelParams(j_override=0.0, Dz=1.0), "Dz", -0.0),     # J = 0: r = 0, theta 0.0
+    (ModelParams(j_override=0.0, Dz=1.0), "Dz", 0.0),
+    (ModelParams(R=1.0, Dz=1.0), "Dz", -0.0),              # J > 0: theta stays -0.0
+    (ModelParams(R=1.0, Dz=1.0), "Dz", 0.0),
+    (ModelParams(R=1.0, j_override=0.7), "Dz", -2.0),      # the override is kept
+    (ModelParams(R=1.0, j_override=-0.0), "B", 1.5),
+    (ModelParams(R=1.0, Dz=0.5, j_override=0.7), "R", 2.0),  # and dropped on R
+    (ModelParams(R=1.0, Dz=0.5), "R", 400.0),              # hf_coupling is 0.0
+])
+def test_one_field_copy_edge_cases(p, name, value):
+    q = p._with(name, value)
+    _assert_same_params(q, _built(p, name, value))
+    assert getattr(q, name) == value and (q.j_override is None) == (
+        name == "R" or p.j_override is None)
+    if name == "Dz" and value == 0.0 and p.J > 0:
+        assert q.theta == 0.0 and math.copysign(1.0, q.theta) == math.copysign(1.0, value)
+    if value == 400.0:
+        assert (q.J, q.r, q.theta) == (0.0, 0.5, math.pi / 2)
+
+
+@pytest.mark.parametrize("name, value", [
+    *[(name, bad) for name in ("R", "Dz", "B") for bad in (math.nan, math.inf, -math.inf)],
+    ("R", 0.0), ("R", -0.0), ("R", -1.0),
+])
+def test_one_field_copy_rejects_like_construction(name, value):
+    p = ModelParams(R=1.0, Dz=0.5, B=0.2, j_override=0.7)
+    with pytest.raises(DomainError) as built:
+        _built(p, name, value)
+    with pytest.raises(DomainError) as copied:
+        p._with(name, value)
+    assert str(copied.value) == str(built.value)
+
+
 def test_zeeman_only_diagonal():
     p = ModelParams(j_override=0.0, Dz=0.0, gamma=1.0, B=1.0)
     h = hamiltonian_tensor(p)

@@ -1,7 +1,10 @@
+import math
 import os
 import threading
 
-from qutritxxz.output import write_text
+import numpy as np
+
+from qutritxxz.output import _fmt, csv_text, write_text
 from qutritxxz.sweeps import CSV_COLUMNS, FIGURE_NAMES, figure_preset
 
 
@@ -46,3 +49,21 @@ def test_preset_cells_are_builtin_floats_or_strings():
         for res in figure_preset(name):
             for row in res.rows:
                 assert all(type(row[col]) in (float, str) for col in CSV_COLUMNS), name
+
+
+def test_csv_cells_never_alias():
+    # cells that compare equal but print differently must not share a text;
+    # each value lands in every column, before and after the others
+    nan = float("nan")
+    pinned = [True, 1, 1.0, -0.0, 0.0, nan, math.inf, 1e-300, np.float64(-0.0), 2.5,
+              1.0, 1, True]
+    cells = pinned[:-1] + [np.float64(2.5)]
+    assert len(cells) == len(CSV_COLUMNS)
+    rows = [dict(zip(CSV_COLUMNS, pinned))]
+    rows += [dict(zip(CSV_COLUMNS, cells[k:] + cells[:k])) for k in range(len(cells))]
+    rows += [dict(zip(CSV_COLUMNS, [float("nan"), -0.0, 0.0] + cells[3:])) for _ in range(2)]
+    expected = [",".join(CSV_COLUMNS)]
+    expected += [",".join(_fmt(row[col]) for col in CSV_COLUMNS) for row in rows]
+    text = csv_text(rows)
+    assert text == "\n".join(expected) + "\n"
+    assert text.splitlines()[1] == "True,1,1.0,0.0,0.0,nan,inf,1e-300,0.0,2.5,1.0,1,True"

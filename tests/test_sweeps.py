@@ -480,15 +480,17 @@ def test_sweep_point_derives_each_number_once(vary, monkeypatch, capsys):
     fixed = ModelParams(R=0.8, Dz=1.0, B=0.3)
     counts.clear()
     run_sweep(SweepSpec(vary=vary, start=0.2, stop=2.0, steps=n, fixed=fixed, T=0.5))
-    # J, r and theta are worked out when ModelParams is built: once per
-    # point, and not at all where the grid only sets T
-    assert counts.get("hf_coupling", 0) == (0 if vary == "T" else n)
+    # a row derives only what its grid value changes: J once per point on
+    # the R axis, and not at all where the grid sets B, Dz or T
+    assert counts.get("hf_coupling", 0) == (n if vary == "R" else 0)
     assert counts.get("effective_coupling", 0) == 0
     assert counts["level_values"] == counts["_weights"] == n
     counts.clear()
+    # the JSON row takes Z, ln Z, the ground energy and N from one state
     assert cli.main(["negativity", "--R", "0.5", "--Dz", "1", "--format", "json"]) == 0
     assert counts.get("hf_coupling", 0) == 1
     assert counts.get("effective_coupling", 0) == 0
+    assert counts["level_values"] == counts["_weights"] == 1
     capsys.readouterr()
 
 
