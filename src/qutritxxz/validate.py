@@ -229,9 +229,9 @@ def check_negativity_routes(n_draws=100, seed=20240903):
     (hermitian_eig) on the whole partial transpose, for states from every
     branch a sweep point can take: the closed form at r > 0, the diagonal
     state at r = 0 and the T = 0 mixture.  Each draw also takes the states whose 3x3
-    partial-transpose block has nearly equal eigenvalues, where
-    element_negativity falls back to Jacobi: T in [1e3, 1e9], and T = 0 at
-    the exact field crossings in [0, 3] of the drawn couplings.
+    partial-transpose block has two nearly equal eigenvalues, the hardest
+    case for the closed form of entanglement._eig3: T in [1e3, 1e9], and
+    T = 0 at the exact field crossings in [0, 3] of the drawn couplings.
 
     negativity runs eigvalsh, which is the same _jacobi arithmetic as
     hermitian_eig, so negativity_sector_vs_dense reads 0.0 by construction;

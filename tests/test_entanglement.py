@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qutritxxz import entanglement
+from qutritxxz import matkernel
 from qutritxxz.cli import main
 from qutritxxz.entanglement import (
     InvalidState,
@@ -19,7 +20,13 @@ from qutritxxz.entanglement import (
 )
 from qutritxxz.matkernel import _jacobi, hermitian_eig
 from qutritxxz.model import ModelParams, analytic_spectrum
-from qutritxxz.sweeps import FIGURE_NAMES, detect_critical_field, figure_preset
+from qutritxxz.sweeps import (
+    FIGURE_NAMES,
+    NoOnset,
+    detect_critical_dz,
+    detect_critical_field,
+    figure_preset,
+)
 from qutritxxz.thermal import (
     gibbs,
     gibbs_analytic,
@@ -327,16 +334,26 @@ def test_element_negativity_rejects_non_finite_off_diagonals(index, x):
         element_negativity(el)
 
 
+def _replace_jacobi(monkeypatch, fn):
+    """Put fn in place of _jacobi in matkernel and in every qutritxxz
+    module that imported the name."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qutritxxz" and hasattr(module, "_jacobi"):
+            monkeypatch.setattr(module, "_jacobi", fn)
+
+
 @pytest.fixture
 def jacobi_calls(monkeypatch):
-    """The sizes of the matrices element_negativity hands to _jacobi."""
+    """The sizes of the matrices handed to _jacobi from outside matkernel,
+    whose eigvalsh and hermitian_eig are the dense references."""
     calls = []
 
     def counting(off, cols=None):
-        calls.append(len(off))
+        if sys._getframe(1).f_globals is not vars(matkernel):
+            calls.append(len(off))
         return _jacobi(off, cols)
 
-    monkeypatch.setattr(entanglement, "_jacobi", counting)
+    _replace_jacobi(monkeypatch, counting)
     return calls
 
 
@@ -357,12 +374,12 @@ def test_infinite_temperature_negativity_is_positive_zero():
         assert n == 0.0 and str(n) == "0.0"
 
 
-def test_eig3_repeated_eigenvalue_falls_back(jacobi_calls):
+def test_eig3_repeated_eigenvalue_runs_no_jacobi(jacobi_calls):
     # the block of the maximally entangled state: 1/3 twice and -1/3
     third = 1.0 / 3.0
     w = sorted(_eig3(0.0, 0.0, third, third, 0.0, 0.0))
     assert w == pytest.approx([-third, third, third], abs=1e-15)
-    assert jacobi_calls == [3]
+    assert jacobi_calls == []
 
 
 @pytest.mark.parametrize("block, exact", [
@@ -370,13 +387,10 @@ def test_eig3_repeated_eigenvalue_falls_back(jacobi_calls):
     ((0.1, 0.0, 0.0, 0.1, 0.0, 1.0 / 3), [0.1, 0.1, 1.0 / 3]),
     ((0.1, 0.0, 0.0, 0.1, 0.0, 0.05), [0.05, 0.1, 0.1]),
 ])
-def test_eig3_clamps_r_outside_the_unit_interval(block, exact, jacobi_calls, monkeypatch):
+def test_eig3_clamps_r_outside_the_unit_interval(block, exact, jacobi_calls):
+    # the clamp keeps acos in its domain
     assert sorted(_eig3(*block)) == pytest.approx(exact, abs=1e-16)
-    assert jacobi_calls == [3]
-    # with the fallback off, the clamp alone keeps acos in its domain
-    monkeypatch.setattr(entanglement, "EIG3_FALLBACK_CUT", -math.inf)
-    assert sorted(_eig3(*block)) == pytest.approx(exact, abs=1e-15)
-    assert jacobi_calls == [3]
+    assert jacobi_calls == []
 
 
 def test_eig3_entries_near_1e_300(jacobi_calls):
@@ -396,11 +410,79 @@ def test_eig3_well_separated_block_runs_no_jacobi(jacobi_calls):
     assert jacobi_calls == []
 
 
-def test_eig3_fallback_is_rare_on_the_figure_rows(jacobi_calls):
+def test_eig3_figure_rows_run_no_jacobi(jacobi_calls):
     rows = sum(len(res.rows) for name in FIGURE_NAMES for res in figure_preset(name))
     assert rows == 4415
-    # 328 rows (7.4%) fall back; a wrong cut would send most of them to Jacobi
-    assert 0 < len(jacobi_calls) < 0.15 * rows
+    # 328 rows (7.4%) have a block with 1 - |r| < 1e-4, two eigenvalues nearly equal
+    assert jacobi_calls == []
+
+
+def test_eig3_matches_lapack_on_random_blocks():
+    # scales 1e-3 to 1e3; every other block has a pair split by 1e-16 to 1e-2 relative
+    rng = np.random.default_rng(23)
+    worst = 0.0
+    for i in range(4000):
+        w = rng.normal(size=3)
+        if i % 2:
+            w[1] = w[0] * (1.0 + 10.0 ** rng.uniform(-16.0, -2.0))
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        a = 10.0 ** rng.uniform(-3.0, 3.0) * (q * w) @ q.T
+        a = (a + a.T) / 2
+        exact = np.linalg.eigvalsh(a)
+        got = np.sort(_eig3(a[0, 0], a[0, 1], a[0, 2], a[1, 1], a[1, 2], a[2, 2]))
+        worst = max(worst, float(np.max(np.abs(got - exact)) / np.max(np.abs(exact))))
+    assert worst < 4e-15
+
+
+@pytest.mark.parametrize("elements", [
+    (1.5e308, 0.0, 0.0, 0.0, 0.0, 0.0, -1.5e308, 0.0, 0.0, 1.0),
+    (1.0, 0.0, 1e308, 0.0, 0.0, -1e308, 0.0, 0.0, 1e308, 0.0),
+], ids=["r11, r55", "r24, r37, r68"])
+def test_element_negativity_rejects_elements_beyond_any_state(elements):
+    # the trace is 1 and every element finite, but no |rho_ij| may exceed 1,
+    # and the spread of the 3x3 block overflows
+    with pytest.raises(InvalidState, match="spread"):
+        element_negativity(elements)
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+def test_ground_state_singlet_at_isotropy(R):
+    # gamma = 1, Dz = B = 0: the spin-1 singlet, N = 1
+    assert thermal_point(ModelParams(R=R, gamma=1.0), 0.0)[2] == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("R, gamma", [(0.5, 2.0), (1.0, 3.0), (1.25, 1.5)])
+def test_ground_state_negativity_is_1_where_r_equals_gamma_j(R, gamma):
+    # on ground level 9, N = 4(1 + chi2)/(chi2^2 + 8), which is 1 at chi2 = 2, r = gamma J
+    J = ModelParams(R=R).J
+    p = ModelParams(R=R, gamma=gamma, Dz=J * math.sqrt(gamma * gamma - 1.0))
+    assert math.isclose(p.r, gamma * J, rel_tol=1e-14)
+    assert thermal_point(p, 0.0)[2] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ground_state_negativity_at_large_dz():
+    # r -> |Dz| dominates gamma J: chi2 -> 2 sqrt(2), N -> (1 + 2 sqrt(2))/4
+    n = thermal_point(ModelParams(R=0.5, Dz=1e6), 0.0)[2]
+    assert abs(n - (1.0 + 2.0 * math.sqrt(2.0)) / 4.0) < 1e-7
+
+
+def test_point_path_runs_with_jacobi_unavailable(monkeypatch):
+    # presets, a 24-R critical survey and CLI negativity never reach _jacobi
+    def refuse(off, cols=None):
+        raise AssertionError(f"_jacobi called on a {len(off)}x{len(off)} matrix")
+
+    _replace_jacobi(monkeypatch, refuse)
+    for name in FIGURE_NAMES:
+        figure_preset(name)
+    for i in range(24):
+        R = 0.2 + (i + 0.5) * 2.8 / 24
+        detect_critical_field(ModelParams(R=R, Dz=1.0), b_max=2.0)
+        try:
+            detect_critical_dz(ModelParams(R=R, B=0.5), T=0.08)
+        except NoOnset:
+            pass
+    for T in ("0", "0.08"):
+        assert main(["negativity", "--R", "0.5", "--Dz", "1", "--B", "0.3", "--T", T]) == 0
 
 
 near_degenerate = st.tuples(
