@@ -161,8 +161,10 @@ def element_negativity(elements) -> float:
     [[r11, r24, r37], [r24, r55, r68], [r37, r68, r99]] (m1 - m2 = 0), from
     _eig3.  The phases are a diagonal unitary gauge of each block, so theta
     drops out.  Eigenvalues are counted and summed as in negativity.
-    InvalidState where the trace is not 1, an off-diagonal is not finite or
-    the 3x3 block's entries are too large for _eig3 to scale.
+    InvalidState where the trace is not 1, an off-diagonal is not finite,
+    the 3x3 block's entries are too large for _eig3 to scale or a diagonal
+    element (r11, r22, r33, r55, r66 or r99, a probability) is below
+    -STATE_TOL.
     """
     r11, r22, r24, r33, r35, r37, r55, r66, r68, r99 = elements
     trace = r11 + r55 + r99 + 2.0 * (r22 + r33 + r66)
@@ -174,6 +176,12 @@ def element_negativity(elements) -> float:
     rad = math.hypot(0.5 * (r22 - r66), r35)
     w = [r33, r33, mid - rad, mid - rad, mid + rad, mid + rad]
     w += _eig3(r11, r24, r37, r55, r68, r99)
+    # after _eig3, so that a block too large to scale is named as such; six
+    # comparisons and no min() call, since every figure row passes here
+    floor = -STATE_TOL
+    if r11 < floor or r22 < floor or r33 < floor or r55 < floor or r66 < floor or r99 < floor:
+        raise InvalidState(f"a diagonal element is {min(r11, r22, r33, r55, r66, r99)}; "
+                           "no probability is negative")
     neg = sorted(x for x in w if x < -NEGATIVE_EIG_TOL)
     # an empty sum would be the int 0; a separable state reports +0.0
     return -sum(neg) if neg else 0.0

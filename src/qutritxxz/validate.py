@@ -234,9 +234,11 @@ def check_negativity_routes(n_draws=100, seed=20240903):
     T = 0 at the exact field crossings in [0, 3] of the drawn couplings.
 
     negativity runs eigvalsh, which is the same _jacobi arithmetic as
-    hermitian_eig, so negativity_sector_vs_dense reads 0.0 by construction;
-    it guards negativity's PSD gate, sort order and -1e-12 cut.  The
-    independent comparison is negativity_closed_form_vs_dense."""
+    hermitian_eig on the same matrix: the same blocks, rotations and
+    diagonal, which the eigenvectors never feed back into.  So
+    negativity_sector_vs_dense reads 0.0 by construction; it guards
+    negativity's PSD gate, sort order and -1e-12 cut.  The independent
+    comparison is negativity_closed_form_vs_dense."""
     import numpy as np
 
     rng = np.random.default_rng(seed)

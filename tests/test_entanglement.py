@@ -445,6 +445,21 @@ def test_element_negativity_rejects_elements_beyond_any_state(elements):
         element_negativity(elements)
 
 
+@pytest.mark.parametrize("elements", [
+    (1.0, 1e308, 0.0, 0.0, 0.0, 0.0, 0.0, -1e308, 0.0, 0.0),
+    (1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, -0.5, 0.0, 0.0),
+], ids=["r22, r66 = +-1e308", "r22, r66 = +-0.5"])
+def test_element_negativity_rejects_a_negative_diagonal(elements):
+    # the trace is 1 and every element finite; unchecked, these read N = inf and 1.0
+    with pytest.raises(InvalidState, match="diagonal"):
+        element_negativity(elements)
+
+
+def test_element_negativity_accepts_a_diagonal_within_state_tol():
+    assert element_negativity((0.5 + 5e-13, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0,
+                               -5e-13)) == 0.0
+
+
 @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
 def test_ground_state_singlet_at_isotropy(R):
     # gamma = 1, Dz = B = 0: the spin-1 singlet, N = 1

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qutritxxz import matkernel as mk
-from qutritxxz.model import SPIN_Z
+from qutritxxz.entanglement import partial_transpose
+from qutritxxz.model import SPIN_Z, hamiltonian_tensor
+from qutritxxz.thermal import gibbs_numeric
 
-from conftest import haar_unitary, random_hermitian
+from conftest import haar_unitary, random_hermitian, random_params
 
 
 def test_kron_identity():
@@ -202,8 +204,11 @@ def test_eigvalsh_leaves_input_unchanged(rng):
 
 def test_eigvalsh_sweep_cap(monkeypatch, rng):
     monkeypatch.setattr(mk, "JACOBI_MAX_SWEEPS", 0)
-    with pytest.raises(mk.NoConvergence):
-        mk.eigvalsh(_sector_matrix(rng, "random"))
+    a = _sector_matrix(rng, "random")
+    with pytest.raises(mk.NoConvergence, match="block"):
+        mk.eigvalsh(a)
+    with pytest.raises(mk.NoConvergence, match="block"):
+        mk.hermitian_eig(a)
 
 
 def test_eigvalsh_overflow_raises():
@@ -214,3 +219,74 @@ def test_eigvalsh_overflow_raises():
         mk.eigvalsh(a)
     with pytest.raises(OverflowError):
         mk.hermitian_eig(a)
+
+
+def _quantum_number_sectors(key):
+    """The index sets of the two-qutrit basis |m1, m2> on which key(m1, m2)
+    is constant, in the order of their smallest index."""
+    sectors = {}
+    for i in range(9):
+        sectors.setdefault(key(i // 3 - 1, i % 3 - 1), []).append(i)
+    return sorted(sectors.values())
+
+
+def test_blocks_are_the_conserved_sectors(rng):
+    # found from the exact zeros of the matrix alone: M = m1 + m2 for H and
+    # m1 - m2 for the partial transpose of a Gibbs state
+    m_sectors = _quantum_number_sectors(lambda m1, m2: m1 + m2)
+    pt_sectors = _quantum_number_sectors(lambda m1, m2: m1 - m2)
+    assert m_sectors == [list(b) for b in SECTORS]
+    assert pt_sectors == [[0, 4, 8], [1, 5], [2], [3, 7], [6]]
+    for _ in range(20):
+        p = random_params(rng)
+        assert mk._blocks(hamiltonian_tensor(p).tolist()) == m_sectors
+        rho = gibbs_numeric(p, float(rng.uniform(0.05, 5.0))).rho
+        assert mk._blocks(partial_transpose(rho).tolist()) == pt_sectors
+
+
+def test_blocks_read_both_triangles():
+    # an entry within the Hermiticity tolerance in one triangle only is an edge
+    off = [[1.0, 0.0, 0.0], [1e-13, 2.0, 0.0], [0.0, 0.0, 3.0]]
+    assert mk._blocks(off) == [[0, 1], [2]]
+    assert mk._blocks([[5.0]]) == [[0]]
+
+
+@pytest.mark.parametrize("kind", ["random", "degenerate", "near_degenerate"])
+def test_eigvalsh_on_permuted_blocks_matches_lapack(kind):
+    # a symmetric permutation scatters each block over non-contiguous indices
+    # independent oracle: numpy's LAPACK eigvalsh, used only here in tests
+    rng = np.random.default_rng(77)
+    for _ in range(50):
+        perm = rng.permutation(9)
+        a = _sector_matrix(rng, kind)[np.ix_(perm, perm)]
+        inverse = np.argsort(perm)
+        assert mk._blocks(a.tolist()) == sorted(sorted(int(inverse[i]) for i in b)
+                                                for b in SECTORS)
+        w = mk.eigvalsh(a)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-12 * np.linalg.norm(a)
+        assert np.array_equal(w, mk.hermitian_eig(a).eigenvalues)
+
+
+def test_hermitian_eig_vectors_stay_in_their_block(rng):
+    for _ in range(30):
+        perm = rng.permutation(9)
+        a = _sector_matrix(rng, "random")[np.ix_(perm, perm)]
+        blocks = mk._blocks(a.tolist())
+        d = mk.hermitian_eig(a)
+        v = d.eigenvectors
+        for k in range(9):
+            support = set(np.flatnonzero(v[:, k]).tolist())
+            assert any(support <= set(b) for b in blocks), (k, support, blocks)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(9))) < 1e-12
+        assert np.max(np.abs(d.reconstruct() - a)) < 1e-12 * np.linalg.norm(a)
+
+
+def test_a_1e_300_bridge_joins_two_blocks(rng):
+    # independent oracle: numpy's LAPACK eigvalsh, used only here in tests
+    for _ in range(20):
+        a = _sector_matrix(rng, "random")
+        a[2, 5] = a[5, 2] = 1e-300
+        assert mk._blocks(a.tolist()) == [[0], [1, 3], [2, 4, 5, 6, 7], [8]]
+        w = mk.eigvalsh(a)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-12 * np.linalg.norm(a)
+        assert np.array_equal(w, mk.hermitian_eig(a).eigenvalues)
