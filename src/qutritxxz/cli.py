@@ -145,9 +145,10 @@ def _load_config(path):
     return cfg
 
 
-def _resolve(args, takes_t=True):
-    """Merge config file and flags into (ModelParams, T); flags win.  A
-    command that does not use a temperature rejects one from either."""
+def _resolve(args, unused=()):
+    """Merge config file and flags into (ModelParams, T); flags win.  The
+    keys in unused, which the command sets itself (a scanned parameter,
+    J beside a scanned R) or does not use (T), are rejected from either."""
     cfg = _load_config(args.config) if args.config else {}
 
     def pick(key, default):
@@ -156,8 +157,12 @@ def _resolve(args, takes_t=True):
             return flag
         return cfg.get(key, default)
 
-    if not takes_t and pick("T", None) is not None:
-        raise DomainError("a temperature was given, but this command does not use one")
+    for key in unused:
+        if pick(key, None) is not None:
+            if key == "T":
+                raise DomainError("a temperature was given, but this command does not use one")
+            raise DomainError(f"a value of {key} was given, but this command scans "
+                              f"{'R' if key == 'J' else key} itself")
 
     r_val, j_val = pick("R", None), pick("J", None)
     if r_val is not None and j_val is not None:
@@ -184,7 +189,7 @@ def _write(text, out):
 
 
 def _cmd_spectrum(args):
-    p, _ = _resolve(args, takes_t=False)
+    p, _ = _resolve(args, unused=("T",))
     if p.r == 0.0:
         eps, chi1, chi2 = level_values(p), None, None
     else:
@@ -232,7 +237,8 @@ def _emit(results, args, y="negativity"):
 
 
 def _cmd_sweep(args):
-    p, t = _resolve(args, takes_t=args.vary != "T")
+    # a J would replace the J(R) that an R sweep varies
+    p, t = _resolve(args, unused=("R", "J") if args.vary == "R" else (args.vary,))
     spec = SweepSpec(vary=args.vary, start=args.start, stop=args.stop,
                      steps=args.steps, fixed=p, T=t)
     _emit([run_sweep(spec)], args)
@@ -245,7 +251,7 @@ def _cmd_figure(args):
 
 
 def _cmd_critical(args):
-    p, t = _resolve(args, takes_t=args.axis == "Dz")
+    p, t = _resolve(args, unused=("T", "B") if args.axis == "B" else ("Dz",))
     # pass on only the values given; the sweeps signatures hold the defaults
     given = {"b_max" if args.axis == "B" else "dz_max": args.axis_max, "threshold": args.threshold}
     given = {name: value for name, value in given.items() if value is not None}

@@ -12,7 +12,8 @@ same way.  T = 0 grid points use the exact ground-level mixture, which
 makes the field-sweep entanglement plateaus sharp instead of smeared by a
 tiny temperature.
 The T = 0 critical fields, where those plateaus jump, are exact; the
-finite-T Dz onset is stepped and bisected.
+finite-T Dz onset is stepped, then narrowed by Illinois regula falsi
+with a finish that straddles the root (_root_bracket).
 The published figures are one table, FIGURE_PRESETS: per figure the grid,
 the fixed parameters, the curve family and the plotted column.
 """
@@ -36,8 +37,9 @@ CSV_COLUMNS = (
     "J", "r", "theta", "Z", "ground_energy", "negativity",
 )
 
+#: widest Dz bracket of an onset: _root_bracket narrows the scan's step to it
 BISECTION_TOL = 1e-8
-#: Dz step of the onset scan before it bisects
+#: Dz step of the onset scan, before the root finder narrows the step
 DZ_SCAN_STEP = 1e-2
 #: smallest negativity counted as a visible onset; finite-T negativity is
 #: never exactly zero near Dz = 0, only exponentially small
@@ -200,10 +202,70 @@ def detect_critical_field(p: ModelParams, b_max: float = _B_MAX) -> list:
             for x in crossings if x <= b_max]
 
 
+def _root_bracket(f, lo, hi, f_lo, f_hi, tol):
+    """A bracket (l, h) inside [lo, hi] with f(l) <= 0 < f(h) and
+    h - l <= tol, given f_lo = f(lo) <= 0 < f(hi) = f_hi.  f is never taken
+    outside [lo, hi].
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)): each
+    step takes the false-position point of the bracket, and an end kept
+    for a second step in a row has its value halved.  Where a move does
+    not halve |f| at the end it moves, f is flat there (as N = 0 is below a
+    sudden birth) and false position would creep along it, so the steps
+    bisect until that end moves with |f| halved.
+
+    Left alone, the iteration ends on an iterate converged onto the root,
+    where f may be 1e-17 or 0 and change sign under another rounding of f.
+    So it finishes as Brent's zeroin does, with a last step no smaller
+    than the tolerance: after a move that halved |f|, once the secant
+    through the last two iterates lands within tol/8 of the newer one, f
+    is taken at that secant root -+ tol/4, each clamped into [lo, hi]
+    (whose values are reused there), and the pair is returned if it
+    straddles the root.
+    """
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    ga, gb = fa, fb              # the end values false position uses
+    moved = 0                    # the end the last step moved: -1 a, +1 b
+    flat = 0                     # the end whose last move did not halve |f|
+    last = None                  # the last iterate and its f
+    while b - a > tol:
+        x = 0.5 * (a + b) if flat else a - ga * (b - a) / (gb - ga)
+        if not a < x < b:        # ga = 0 (a plateau at f = 0), or rounding
+            x = 0.5 * (a + b)
+        fx = f(x)
+        if fx <= 0:
+            slow = fx <= 0.5 * fa
+            if moved < 0:
+                gb *= 0.5
+            a, fa, ga, moved = x, fx, fx, -1
+        else:
+            slow = fx >= 0.5 * fb
+            if moved > 0:
+                ga *= 0.5
+            b, fb, gb, moved = x, fx, fx, 1
+        if slow:
+            flat = moved
+        else:
+            if flat == moved:
+                flat = 0
+            if last is not None and fx != last[1]:
+                guess = x - fx * (x - last[0]) / (fx - last[1])
+                if abs(guess - x) <= tol / 8:
+                    l, h = max(lo, guess - tol / 4), min(hi, guess + tol / 4)
+                    if (f_lo if l == lo else f(l)) <= 0 < (f_hi if h == hi else f(h)):
+                        return l, h
+        last = x, fx
+    return a, b
+
+
 def detect_critical_dz(p: ModelParams, T: float, dz_max: float = _DZ_MAX,
                        threshold: float = ONSET_THRESHOLD) -> CriticalPoint:
-    """Smallest Dz >= 0 where negativity exceeds the onset threshold.  The
-    scan steps by DZ_SCAN_STEP and ends at dz_max itself, then bisects."""
+    """Smallest Dz >= 0 where negativity exceeds the onset threshold.
+
+    N is not monotone in Dz, so a scan by DZ_SCAN_STEP, which ends at
+    dz_max itself, finds the first step across the threshold;
+    _root_bracket then narrows that step to at most BISECTION_TOL,
+    reusing the values at its ends.  The onset is the bracket's middle."""
     inverse_temperature(T)
     _check_limit("dz_max", dz_max)
     _check_limit("threshold", threshold)
@@ -211,22 +273,19 @@ def detect_critical_dz(p: ModelParams, T: float, dz_max: float = _DZ_MAX,
     def n_at(dz):
         return thermal_point(p._with("Dz", dz), T)[2]
 
-    if n_at(0.0) > threshold:
+    lo, n_lo = 0.0, n_at(0.0)
+    if n_lo > threshold:
         raise NoOnset(f"negativity already exceeds {threshold} at Dz = 0")
-    lo = 0.0
     while True:
         hi = min(lo + DZ_SCAN_STEP, dz_max)
-        if n_at(hi) > threshold:
+        n_hi = n_at(hi)
+        if n_hi > threshold:
             break
         if hi == dz_max:
             raise NoOnset(f"negativity stays below {threshold} up to Dz = {dz_max}")
-        lo = hi
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if n_at(mid) > threshold:
-            hi = mid
-        else:
-            lo = mid
+        lo, n_lo = hi, n_hi
+    lo, hi = _root_bracket(lambda dz: n_at(dz) - threshold, lo, hi,
+                           n_lo - threshold, n_hi - threshold, BISECTION_TOL)
     return CriticalPoint(parameter="Dz", value=0.5 * (lo + hi),
                          kind="NegativityOnset", bracket=(lo, hi))
 

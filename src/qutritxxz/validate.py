@@ -28,7 +28,14 @@ from .model import (
     hamiltonian_tensor,
     hf_coupling,
 )
-from .sweeps import detect_critical_field
+from .sweeps import (
+    _DZ_MAX,
+    BISECTION_TOL,
+    ONSET_THRESHOLD,
+    NoOnset,
+    detect_critical_dz,
+    detect_critical_field,
+)
 from .thermal import (
     GROUND_DEGENERACY_TOL,
     gibbs_analytic,
@@ -336,6 +343,46 @@ def check_critical_field():
                   "R = 1 and 20 seeded R in [0.2, 3]")]
 
 
+def check_critical_dz(n_draws=10, seed=20240907):
+    """Dz onsets, whose brackets come from the closed-form point path and
+    regula falsi, vs gibbs_numeric + the Jacobi negativity at B = 0.5,
+    T = 0.08 and 0.3: R = 1 and seeded R in [0.2, 3].  Each bracket is at
+    most BISECTION_TOL wide and the dense N keeps N(lo) <= threshold <
+    N(hi); a NoOnset needs the dense N above the threshold at Dz = 0 or not
+    above it at the scan limit.  The residual is the smallest
+    |N_dense - threshold| at a bracket end: how far the dense route is from
+    turning the bracket over."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+
+    def dense(r, t, dz):
+        return negativity(gibbs_numeric(ModelParams(R=r, B=0.5, Dz=dz), t).rho).value
+
+    worst_margin, widest, onsets, no_onsets, passed = math.inf, 0.0, 0, 0, True
+    for r in [1.0, *rng.uniform(0.2, 3.0, n_draws)]:
+        r = float(r)
+        for t in (0.08, 0.3):
+            try:
+                cp = detect_critical_dz(ModelParams(R=r, B=0.5), t)
+            except NoOnset:
+                no_onsets += 1
+                passed &= (dense(r, t, 0.0) > ONSET_THRESHOLD
+                           or dense(r, t, _DZ_MAX) <= ONSET_THRESHOLD)
+                continue
+            onsets += 1
+            lo, hi = cp.bracket
+            n_lo, n_hi = dense(r, t, lo), dense(r, t, hi)
+            widest = max(widest, hi - lo)
+            passed &= hi - lo <= BISECTION_TOL and n_lo <= ONSET_THRESHOLD < n_hi
+            worst_margin = min(worst_margin, ONSET_THRESHOLD - n_lo, n_hi - ONSET_THRESHOLD)
+    return [Check("critical_dz_bracket_vs_dense", passed, worst_margin, 0.0,
+                  f"{onsets} onsets and {no_onsets} NoOnset at B = 0.5, T = 0.08 and 0.3, "
+                  f"R = 1 and {n_draws} seeded R in [0.2, 3]; widest bracket {widest:.2e} "
+                  f"(at most {BISECTION_TOL:g}); residual: smallest margin of the dense N "
+                  f"from {ONSET_THRESHOLD:g} at a bracket end, which must keep its sign")]
+
+
 def validate(fast: bool = False) -> dict:
     """Run every check and return a machine-readable report, with the
     seconds each check function took under "timings"."""
@@ -352,6 +399,7 @@ def validate(fast: bool = False) -> dict:
         (check_hf_maximum, {}),
         (check_headline, {}),
         (check_critical_field, {}),
+        (check_critical_dz, {"n_draws": 3 if fast else 10}),
     ]
     checks, timings = [], {}
     for check, kwargs in runs:

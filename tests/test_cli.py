@@ -180,7 +180,31 @@ def test_critical_field_takes_no_temperature(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"R": 1.0, "Dz": 1.0, "T": 7.0}))
     assert main(["critical", "--axis", "B", "--config", str(cfg)]) == 2
+    # the Dz onset scan takes the temperature (and no Dz, which it scans)
+    cfg.write_text(json.dumps({"R": 1.0, "T": 7.0}))
     assert main(["critical", "--axis", "Dz", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["critical", "--axis", "Dz", "--R", "0.3", "--B", "0.5", "--T", "0.08"], "Dz"),
+    (["critical", "--axis", "B", "--R", "1", "--Dz", "1", "--max", "2"], "B"),
+    (["sweep", "--vary", "B", "--from", "0", "--to", "1", "--steps", "3", "--R", "0.5"], "B"),
+    (["sweep", "--vary", "Dz", "--from", "0", "--to", "1", "--steps", "3", "--R", "0.5"], "Dz"),
+    (["sweep", "--vary", "R", "--from", "0.5", "--to", "1", "--steps", "3"], "R"),
+    (["sweep", "--vary", "R", "--from", "0.5", "--to", "1", "--steps", "3"], "J"),
+], ids=["critical-Dz", "critical-B", "sweep-B", "sweep-Dz", "sweep-R", "sweep-R-J"])
+def test_a_scan_takes_no_value_of_its_own_axis(argv, key, tmp_path, capsys):
+    # the scan sets that parameter at every point: a fixed value would be
+    # ignored (and --J would replace the J(R) that an R sweep varies)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + [f"--{key}", "0.7"]) == 2
+    scans = "R" if key == "J" else key
+    assert f"a value of {key} was given, but this command scans {scans}" in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: 0.7}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "this command scans" in capsys.readouterr().err
 
 
 def test_temperature_sweep_takes_no_fixed_temperature(tmp_path, capsys):
@@ -465,7 +489,7 @@ def test_validate_json_reports_the_time_of_each_check(capsys):
         "check_spectrum", "check_hamiltonian_routes", "check_gibbs_routes",
         "check_ground_mixture", "check_symmetries", "check_invariants",
         "check_oracle", "check_negativity_routes", "check_hf_maximum",
-        "check_headline", "check_critical_field"]
+        "check_headline", "check_critical_field", "check_critical_dz"]
     assert all(t >= 0.0 for t in report["timings"].values())
     assert sum(report["timings"].values()) <= report["elapsed_seconds"]
 

@@ -1,6 +1,9 @@
 import ast
 import importlib.util
 import json
+import math
+import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -314,6 +317,200 @@ def test_critical_dz_scan_ends_at_its_limit(monkeypatch):
 def test_critical_dz_no_onset_when_already_entangled():
     with pytest.raises(NoOnset):
         detect_critical_dz(ModelParams(R=0.9, gamma=1.0, B=0.2), T=0.08)
+
+
+def _workload_r_values():
+    """The separations of the perfbench critical workload, seeds 11-20."""
+    values = []
+    for seed in range(11, 21):
+        rng = random.Random(seed)
+        width = 2.8 / 24
+        values += [0.2 + (i + rng.random()) * width for i in range(24)]
+    return values
+
+
+def _bisected_onset(p, T, threshold):
+    """The onset by the step scan and plain bisection to BISECTION_TOL."""
+    def n_at(dz):
+        return thermal_point(p._with("Dz", dz), T)[2]
+
+    lo = 0.0
+    if n_at(lo) > threshold:
+        return None
+    while True:
+        hi = min(lo + sweeps.DZ_SCAN_STEP, 10.0)
+        if n_at(hi) > threshold:
+            break
+        if hi == 10.0:
+            return None
+        lo = hi
+    while hi - lo > sweeps.BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if n_at(mid) > threshold:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _recorded_onset(monkeypatch, p, T, threshold=sweeps.ONSET_THRESHOLD, **kwargs):
+    """detect_critical_dz with every N it takes recorded as (Dz, N)."""
+    seen = []
+
+    def recorded(q, t):
+        point = thermal_point(q, t)
+        seen.append((q.Dz, point[2]))
+        return point
+
+    with monkeypatch.context() as m:
+        m.setattr(sweeps, "thermal_point", recorded)
+        try:
+            return detect_critical_dz(p, T, threshold=threshold, **kwargs), seen
+        except NoOnset:
+            return None, seen
+
+
+def test_onsets_match_bisection_on_the_workload_r_values(monkeypatch):
+    tol = sweeps.BISECTION_TOL
+    onsets = 0
+    for r in _workload_r_values():
+        p = ModelParams(R=r, B=0.5)
+        cp, seen = _recorded_onset(monkeypatch, p, 0.08)
+        reference = _bisected_onset(p, 0.08, sweeps.ONSET_THRESHOLD)
+        if cp is None:
+            assert reference is None
+            continue
+        onsets += 1
+        lo, hi = cp.bracket
+        assert hi - lo <= tol and abs(cp.value - reference) <= tol
+        n = dict(seen)
+        # the closed-form sign test, with no end an iterate sitting on the root
+        assert n[lo] <= sweeps.ONSET_THRESHOLD - 1e-13
+        assert n[hi] > sweeps.ONSET_THRESHOLD + 1e-13
+        # the step scan stops at its first point above the threshold
+        scan = next(i for i, (_, v) in enumerate(seen) if v > sweeps.ONSET_THRESHOLD) + 1
+        assert len(seen) - scan <= 9, (r, seen[scan:])
+    assert onsets == 108
+
+
+def test_onsets_match_bisection_on_random_draws(monkeypatch):
+    rng = np.random.default_rng(20240926)
+    onsets = 0
+    for i in range(45):
+        p = ModelParams(R=float(rng.uniform(0.2, 3.0)), B=float(rng.uniform(0.0, 2.0)),
+                        gamma=float(rng.uniform(-2.0, 2.0)))
+        t = float(rng.uniform(0.01, 1.0))
+        threshold = (1e-9, 1e-6, 1e-3, 0.05)[i % 4]
+        cp, seen = _recorded_onset(monkeypatch, p, t, threshold)
+        reference = _bisected_onset(p, t, threshold)
+        if cp is None:
+            assert reference is None
+            continue
+        onsets += 1
+        lo, hi = cp.bracket
+        n = dict(seen)
+        assert n[lo] <= threshold < n[hi]
+        assert hi - lo <= sweeps.BISECTION_TOL
+        assert abs(cp.value - reference) <= sweeps.BISECTION_TOL
+    assert onsets >= 25
+
+
+def test_critical_dz_evaluates_nothing_beyond_its_limit(monkeypatch):
+    # a limit tol/8 above the onset: the finish's upper point would pass it
+    p = ModelParams(R=2.5, B=0.5)
+    onset = detect_critical_dz(p, T=0.08).value
+    for dz_max in (onset + sweeps.BISECTION_TOL / 8, onset + sweeps.BISECTION_TOL / 3):
+        cp, seen = _recorded_onset(monkeypatch, p, 0.08, dz_max=dz_max)
+        assert max(dz for dz, _ in seen) == dz_max
+        lo, hi = cp.bracket
+        assert hi <= dz_max and hi - lo <= sweeps.BISECTION_TOL
+        assert dict(seen)[lo] <= sweeps.ONSET_THRESHOLD < dict(seen)[hi]
+
+
+def _bracketed(f, lo, hi, tol=1e-8):
+    """_root_bracket on [lo, hi], with every point it takes recorded."""
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return f(x)
+
+    return sweeps._root_bracket(g, lo, hi, f(lo), f(hi), tol), seen
+
+
+def _assert_bracket(f, bracket, seen, lo, hi, tol=1e-8):
+    l, h = bracket
+    assert f(l) <= 0 < f(h) and 0 < h - l <= tol
+    assert all(lo < x < hi for x in seen)
+
+
+@pytest.mark.parametrize("root", [0.3, 0.5, 0.7071, 1e-9, 1 - 1e-9])
+def test_root_bracket_on_a_step(root):
+    # no slope at all: as many steps as bisection, and a bracket of the jump
+    def f(x):
+        return -1.0 if x < root else 1.0
+
+    bracket, seen = _bracketed(f, 0.0, 1.0)
+    _assert_bracket(f, bracket, seen, 0.0, 1.0)
+    assert len(seen) <= 28
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-9, 1e-3])
+@pytest.mark.parametrize("kink", [0.123456789, 0.9])
+def test_root_bracket_on_a_plateau(c, kink):
+    # f = -c up to the kink, then N rising as after a sudden birth (c = 0:
+    # threshold 0, f = 0 all along the plateau); false position alone
+    # would creep along the plateau for hundreds of steps
+    def f(x):
+        rise = x - kink
+        return (0.0 if rise <= 0.0 else 0.05 * rise + 3.0 * rise * rise) - c
+
+    bracket, seen = _bracketed(f, 0.0, 1.0)
+    _assert_bracket(f, bracket, seen, 0.0, 1.0)
+    assert len(seen) <= 32
+
+
+@pytest.mark.parametrize("offset", [1e-8 / 4, 1e-8 / 8, 1e-8 / 64, 1e-12])
+def test_root_bracket_near_either_end(offset):
+    # the finish's points clamp into [lo, hi] and reuse the end values
+    lo, hi = 0.25, 0.26
+    for root in (lo + offset, hi - offset):
+        def f(x):
+            return math.expm1(40.0 * (x - root))
+
+        bracket, seen = _bracketed(f, lo, hi)
+        _assert_bracket(f, bracket, seen, lo, hi)
+
+
+def test_root_bracket_converges_faster_than_bisection():
+    # on a smooth but strongly curved f, false position alone keeps one end
+    # fixed; the Illinois halving moves it, and the finish straddles the
+    # root.  Bisection takes 27 steps here.
+    for scale in (1.0, 3.0, 10.0, 30.0):
+        for root in (0.1, 0.4142, 0.8):
+            def f(x):
+                return math.expm1(scale * x) - math.expm1(scale * root)
+
+            bracket, seen = _bracketed(f, 0.0, 1.0)
+            _assert_bracket(f, bracket, seen, 0.0, 1.0)
+            l, h = bracket
+            assert min(-f(l), f(h)) > 1e-12
+            assert len(seen) <= 15, (scale, root, len(seen))
+
+
+def test_check_critical_dz_catches_a_bracket_off_the_root(monkeypatch):
+    validate = sys.modules["qutritxxz.validate"]
+    (check,) = validate.check_critical_dz(n_draws=2)
+    assert check.passed and check.worst_residual > 0.0
+
+    def shifted(p, T, **kwargs):
+        cp = detect_critical_dz(p, T, **kwargs)
+        lo, hi = cp.bracket
+        return replace(cp, bracket=(lo + 1e-6, hi + 1e-6))
+
+    monkeypatch.setattr(validate, "detect_critical_dz", shifted)
+    (check,) = validate.check_critical_dz(n_draws=2)
+    assert not check.passed and check.worst_residual < 0.0
 
 
 def test_figure_preset_fig1():
