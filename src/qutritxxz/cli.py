@@ -259,21 +259,21 @@ def _cmd_critical(args):
         if "threshold" in given:
             raise DomainError("--threshold is taken only with --axis Dz")
         points = [asdict(cp) for cp in detect_critical_field(p, **given)]
-        _write(json.dumps(points, indent=2), args.out)
+        _write(json_text(points), args.out)
         return EXIT_OK
     try:
         cp = detect_critical_dz(p, t, **given)
     except NoOnset as exc:
-        _write(json.dumps({"error": "NoOnset", "detail": str(exc)}, indent=2), args.out)
+        _write(json_text({"error": "NoOnset", "detail": str(exc)}), args.out)
         return EXIT_OK
-    _write(json.dumps(asdict(cp), indent=2), args.out)
+    _write(json_text(asdict(cp)), args.out)
     return EXIT_OK
 
 
 def _cmd_validate(args):
     report = validate(fast=args.fast)
     if args.format == "json":
-        _write(json.dumps(report, indent=2), args.out)
+        _write(json_text(report), args.out)
     else:
         lines = []
         for c in report["checks"]:

@@ -141,6 +141,9 @@ def _jacobi_block(off: list, diag: list, block: list, cols) -> None:
              for i, p in enumerate(block) for q in block[i + 1:]]
     off2 = 2.0 * sum(abs(off[p][q]) ** 2 for p, q, _ in pairs)
     norm = math.sqrt(sum(diag[i] * diag[i] for i in block) + off2)
+    if not math.isfinite(norm):
+        # an inf norm would pass the stop test at once and return the diagonal
+        raise OverflowError(f"the Frobenius norm of the {n}x{n} block {block} overflows")
     target = max(JACOBI_RELTOL * norm, 1e-300)
     for _ in range(JACOBI_MAX_SWEEPS):
         off_norm = math.sqrt(off2)

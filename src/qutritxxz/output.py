@@ -40,13 +40,13 @@ def write_text(path, text: str) -> None:
 
 
 def _plain(x):
-    """A float with -0.0 written as 0.0; lists and dicts element by
-    element; anything else as it is."""
+    """A float with -0.0 written as 0.0; lists, tuples (as lists) and dicts
+    element by element; anything else as it is."""
     if isinstance(x, float):
         return 0.0 if x == 0.0 else x
     if isinstance(x, dict):
         return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, list):
+    if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
     return x
 

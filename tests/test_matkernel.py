@@ -211,10 +211,17 @@ def test_eigvalsh_sweep_cap(monkeypatch, rng):
         mk.hermitian_eig(a)
 
 
-def test_eigvalsh_overflow_raises():
-    # squaring an entry of 1e200 overflows: an error, not a norm of inf that
-    # would pass the stop test at once and return the diagonal
-    a = np.array([[0.0, 1e200], [1e200, 0.0]])
+@pytest.mark.parametrize("a", [
+    [[0.0, 1e200], [1e200, 0.0]],
+    [[0.0, 1e154], [1e154, 0.0]],
+    [[1.2e154, 1e154], [1e154, 0.0]],
+    [[1e155, 1e140], [1e140, 0.0]],
+], ids=["entry-1e200", "off-diagonal-1e154", "both-1.2e154", "diagonal-1e155"])
+def test_eigvalsh_overflow_raises(a):
+    # a squared entry, the sum of the squares or a squared diagonal entry
+    # overflows: an error, not a norm of inf that would pass the stop test at
+    # once and return the diagonal
+    a = np.array(a)
     with pytest.raises(OverflowError):
         mk.eigvalsh(a)
     with pytest.raises(OverflowError):
