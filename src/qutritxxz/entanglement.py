@@ -21,9 +21,9 @@ array, so importing this module and element_negativity do not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .matkernel import eigvalsh, is_hermitian
+from .matkernel import NotHermitian, eigvalsh
 
 #: PT eigenvalues in [-NEGATIVE_EIG_TOL, 0) are eigensolver noise, not entanglement
 NEGATIVE_EIG_TOL = 1e-12
@@ -55,28 +55,33 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class NegativityResult:
     value: float
-    negative_eigenvalues: np.ndarray = field(repr=False)
 
 
 def negativity(rho: np.ndarray) -> NegativityResult:
-    """Sum of |negative eigenvalues| of the partial transpose of rho."""
+    """Sum of |negative eigenvalues| of the partial transpose of rho.
+
+    InvalidState where rho is not 9x9, fails the kernel's own Hermiticity
+    gate (matkernel.HERMITICITY_ATOL, run by the eigvalsh of rho), or has
+    a trace off 1 or an eigenvalue below 0 by more than STATE_TOL."""
     import numpy as np
 
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (9, 9):
         raise InvalidState(f"expected a 9x9 density matrix, got {rho.shape}")
-    if not is_hermitian(rho, atol=STATE_TOL):
-        raise InvalidState("density matrix is not Hermitian")
+    try:
+        lowest = eigvalsh(rho)[0]
+    except NotHermitian as exc:
+        raise InvalidState("density matrix is not Hermitian") from exc
     if abs(np.trace(rho).real - 1.0) > STATE_TOL:
         raise InvalidState(f"trace is {np.trace(rho).real}, expected 1")
-    if eigvalsh(rho)[0] < -STATE_TOL:
+    if lowest < -STATE_TOL:
         raise InvalidState("density matrix is not positive semidefinite")
 
     w = eigvalsh(partial_transpose(rho))
     neg = w[w < -NEGATIVE_EIG_TOL]
     # an empty sum negated is -0.0; a separable state reports +0.0
     value = float(-neg.sum()) if neg.size else 0.0
-    return NegativityResult(value=value, negative_eigenvalues=neg)
+    return NegativityResult(value=value)
 
 
 def _eig3(a11, a12, a13, a22, a23, a33) -> list:

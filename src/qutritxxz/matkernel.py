@@ -56,25 +56,12 @@ def kron(a, b) -> np.ndarray:
     return np.kron(asmatrix(a), asmatrix(b))
 
 
-def is_hermitian(a, atol=HERMITICITY_ATOL) -> bool:
-    return _square_hermitian(asmatrix(a), atol)
-
-
-def _square_hermitian(m: np.ndarray, atol: float) -> bool:
-    """is_hermitian on a matrix that asmatrix has already checked."""
-    return m.shape[0] == m.shape[1] and abs(m - m.conj().T).max() <= atol
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenvalues sorted ascending; eigenvectors[:, k] belongs to eigenvalues[k]."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def _blocks(off: list) -> list:
@@ -192,7 +179,7 @@ def _jacobi_block(off: list, diag: list, block: list, cols) -> None:
 
 def _checked_hermitian(h) -> np.ndarray:
     a = asmatrix(h)
-    if not _square_hermitian(a, HERMITICITY_ATOL):
+    if a.shape[0] != a.shape[1] or abs(a - a.conj().T).max() > HERMITICITY_ATOL:
         raise NotHermitian(f"matrix of shape {a.shape} is not Hermitian within {HERMITICITY_ATOL}")
     return a
 

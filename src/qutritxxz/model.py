@@ -210,11 +210,6 @@ class AnalyticSpectrum:
     chi1: float
     chi2: float
 
-    def sorted_eigenvalues(self) -> np.ndarray:
-        import numpy as np
-
-        return np.sort(self.eps)
-
 
 def diagonal_levels(gj: float, b: float) -> tuple:
     """The diagonal of H in the product basis as nine floats (gamma*J = gj,

@@ -86,9 +86,9 @@ def check_spectrum(n_draws=1000, seed=20240901):
         spec = analytic_spectrum(p)
         h = hamiltonian_tensor(p)
         numeric = eigvalsh(h)
-        eig.append(float(np.max(np.abs(spec.sorted_eigenvalues() - numeric))))
+        eig.append(float(np.max(np.abs(np.sort(spec.eps) - numeric))))
         res = h @ spec.vecs - spec.vecs * spec.eps
-        vec.append(float(np.max(np.linalg.norm(res, axis=0))))
+        vec.append(float(np.max(np.sqrt((res.conj() * res).real.sum(axis=0)))))
         chi.append(abs(spec.chi1 * spec.chi2 - 8.0))
         total.append(abs(float(spec.eps.sum())))
     return [
@@ -239,18 +239,16 @@ def check_oracle(seed=13):
 
 def check_negativity_routes(n_draws=100, seed=20240903):
     """negativity(rho) and the closed-form thermal_point vs dense Jacobi
-    (hermitian_eig) on the whole partial transpose, for states from every
+    (eigvalsh) on the whole partial transpose, for states from every
     branch a sweep point can take: the closed form at r > 0, the diagonal
     state at r = 0 and the T = 0 mixture.  Each draw also takes the states whose 3x3
     partial-transpose block has two nearly equal eigenvalues, the hardest
     case for the closed form of entanglement._eig3: T in [1e3, 1e9], and
     T = 0 at the exact field crossings in [0, 3] of the drawn couplings.
 
-    negativity runs eigvalsh, which is the same _jacobi arithmetic as
-    hermitian_eig on the same matrix: the same blocks, rotations and
-    diagonal, which the eigenvectors never feed back into.  So
+    negativity runs the same eigvalsh on the same matrix, so
     negativity_sector_vs_dense reads 0.0 by construction; it guards
-    negativity's PSD gate, sort order and -1e-12 cut.  The independent
+    negativity's input gates, sort order and -1e-12 cut.  The independent
     comparison is negativity_closed_form_vs_dense."""
     import numpy as np
 
@@ -269,7 +267,7 @@ def check_negativity_routes(n_draws=100, seed=20240903):
             at = replace(p, B=cp.value)
             cases.append((at, 0.0, ground_state_mixture(at)))
         for params, temperature, state in cases:
-            w = hermitian_eig(partial_transpose(state.rho)).eigenvalues
+            w = eigvalsh(partial_transpose(state.rho))
             dense = -float(w[w < -NEGATIVE_EIG_TOL].sum())
             gaps_sector.append(abs(negativity(state.rho).value - dense))
             gaps_point.append(abs(thermal_point(params, temperature)[2] - dense))
@@ -358,7 +356,7 @@ def check_critical_dz(n_draws=10, seed=20240907):
     def dense(r, t, dz):
         return negativity(gibbs_numeric(ModelParams(R=r, B=0.5, Dz=dz), t).rho).value
 
-    worst_margin, widest, onsets, no_onsets, passed = math.inf, 0.0, 0, 0, True
+    margins, widest, onsets, no_onsets, passed = [], 0.0, 0, 0, True
     for r in [1.0, *rng.uniform(0.2, 3.0, n_draws)]:
         r = float(r)
         for t in (0.08, 0.3):
@@ -374,8 +372,10 @@ def check_critical_dz(n_draws=10, seed=20240907):
             n_lo, n_hi = dense(r, t, lo), dense(r, t, hi)
             widest = max(widest, hi - lo)
             passed &= hi - lo <= BISECTION_TOL and n_lo <= ONSET_THRESHOLD < n_hi
-            worst_margin = min(worst_margin, ONSET_THRESHOLD - n_lo, n_hi - ONSET_THRESHOLD)
-    return [Check("critical_dz_bracket_vs_dense", passed, worst_margin, 0.0,
+            margins += [ONSET_THRESHOLD - n_lo, n_hi - ONSET_THRESHOLD]
+    # the smallest margin (inf for none), or NaN if any is NaN, which min() would drop
+    worst = math.nan if any(map(math.isnan, margins)) else min(margins, default=math.inf)
+    return [Check("critical_dz_bracket_vs_dense", passed, worst, 0.0,
                   f"{onsets} onsets and {no_onsets} NoOnset at B = 0.5, T = 0.08 and 0.3, "
                   f"R = 1 and {n_draws} seeded R in [0.2, 3]; widest bracket {widest:.2e} "
                   f"(at most {BISECTION_TOL:g}); residual: smallest margin of the dense N "

@@ -2,14 +2,17 @@ import math
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qutritxxz
 from qutritxxz import matkernel
 from qutritxxz.cli import main
 from qutritxxz.entanglement import (
+    NEGATIVE_EIG_TOL,
     InvalidState,
     UnsupportedStructure,
     _eig3,
@@ -43,6 +46,12 @@ def _pure(c):
     c = np.asarray(c, dtype=complex)
     c = c / np.linalg.norm(c)
     return np.outer(c, c.conj())
+
+
+def _negative_pt_eigenvalues(rho):
+    """The partial-transpose eigenvalues whose absolute sum negativity(rho) is."""
+    w = matkernel.eigvalsh(partial_transpose(rho))
+    return w[w < -NEGATIVE_EIG_TOL]
 
 
 def test_pt_fixes_diagonal():
@@ -89,9 +98,10 @@ def test_pt_bad_shape():
 
 
 def test_negativity_maximally_mixed():
-    res = negativity(np.eye(9, dtype=complex) / 9)
+    rho = np.eye(9, dtype=complex) / 9
+    res = negativity(rho)
     assert res.value == 0.0
-    assert res.negative_eigenvalues.size == 0
+    assert _negative_pt_eigenvalues(rho).size == 0
 
 
 def test_negativity_separable_is_positive_zero():
@@ -103,17 +113,19 @@ def test_negativity_separable_is_positive_zero():
 def test_negativity_maximally_entangled():
     c = np.zeros(9)
     c[[0, 4, 8]] = 1.0  # (|00> + |11> + |22>) / sqrt(3)
-    res = negativity(_pure(c))
+    rho = _pure(c)
+    res = negativity(rho)
     assert res.value == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(res.negative_eigenvalues, -1 / 3, atol=1e-12)
+    assert np.allclose(_negative_pt_eigenvalues(rho), -1 / 3, atol=1e-12)
 
 
 def test_negativity_phi2():
     p = ModelParams(R=0.5, gamma=1.0, Dz=1.0, B=0.0)
     phi2 = analytic_spectrum(p).vecs[:, 1]
-    res = negativity(np.outer(phi2, phi2.conj()))
+    rho = np.outer(phi2, phi2.conj())
+    res = negativity(rho)
     assert res.value == pytest.approx(0.5, abs=1e-12)
-    assert res.negative_eigenvalues.size == 1
+    assert _negative_pt_eigenvalues(rho).size == 1
 
 
 def test_negativity_product_states():
@@ -166,6 +178,16 @@ def test_negativity_rejects_invalid_states():
     nh[0, 1] = 1e-3
     with pytest.raises(InvalidState):
         negativity(nh)  # not Hermitian
+
+
+def test_negativity_rejects_asymmetry_above_the_kernel_gate():
+    # one Hermiticity gate, the kernel's 1e-12, named as a state error
+    rho = np.eye(9, dtype=complex) / 9
+    rho[0, 1] += 1e-10
+    with pytest.raises(InvalidState, match="not Hermitian"):
+        negativity(rho)
+    rho[0, 1] = 1e-13
+    assert negativity(rho).value == 0.0
 
 
 def test_oracle_product_state():
@@ -245,8 +267,9 @@ def test_parity_in_b(rng):
 
 def test_negativity_value_matches_stored_eigenvalues(rng):
     p = random_params(rng)
-    res = negativity(gibbs_analytic(p, 0.1).rho)
-    assert res.value == pytest.approx(float(np.abs(res.negative_eigenvalues).sum()),
+    rho = gibbs_analytic(p, 0.1).rho
+    res = negativity(rho)
+    assert res.value == pytest.approx(float(np.abs(_negative_pt_eigenvalues(rho)).sum()),
                                       abs=1e-12)
     assert 0.0 <= res.value <= 1.0 + 1e-9
 
@@ -276,6 +299,13 @@ def test_library_path_calls_no_lapack_eigenroutine(monkeypatch, capsys):
     assert len(figure_preset("fig4c")) == 1
     assert main(["negativity", "--R", "0.5", "--Dz", "1", "--T", "0.04"]) == 0
     assert validate(fast=True)["passed"]
+
+
+def test_library_source_names_no_linalg():
+    # numpy.linalg appears only in the tests
+    src = Path(qutritxxz.__file__).resolve().parent
+    named = [f.name for f in sorted(src.rglob("*.py")) if "linalg" in f.read_text()]
+    assert named == []
 
 
 def _state_from_elements(el, theta):

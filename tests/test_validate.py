@@ -60,6 +60,9 @@ CASES = [
      lambda cps: [replace(cp, value=NAN) for cp in cps]),
     (V.check_headline, {}, "headline_scalar_routes", "thermal_point",
      lambda zen: (zen[0], zen[1], NAN)),
+    # its own sign rule, not _verdict, but its worst margin keeps a NaN too
+    (V.check_critical_dz, {"n_draws": 1}, "critical_dz_bracket_vs_dense", "negativity",
+     _nan_field("value")),
 ]
 
 
