@@ -23,7 +23,6 @@ from .thermal import (  # noqa: F401
     thermal_point,
 )
 from .entanglement import (  # noqa: F401
-    NegativityResult,
     negativity,
     partial_transpose,
     pure_state_negativity_oracle,

@@ -219,7 +219,7 @@ def _cmd_spectrum(args):
 def _cmd_negativity(args):
     p, t = _resolve(args)
     # ln Z stays finite where Z overflows; the CSV keeps its fixed header
-    row = {"grid_param": "T", "grid_value": t, **_point(p, t, with_ln_z=args.format == "json")}
+    row = {"grid_param": "T", "grid_value": t, **_point(p, t)}
     if args.format == "json":
         _write(json_text(row), args.out)
     else:

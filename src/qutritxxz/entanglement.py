@@ -21,7 +21,6 @@ array, so importing this module and element_negativity do not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .matkernel import NotHermitian, eigvalsh
 
@@ -52,12 +51,7 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(3, 3, 3, 3).transpose(2, 1, 0, 3).reshape(9, 9).copy()
 
 
-@dataclass(frozen=True)
-class NegativityResult:
-    value: float
-
-
-def negativity(rho: np.ndarray) -> NegativityResult:
+def negativity(rho: np.ndarray) -> float:
     """Sum of |negative eigenvalues| of the partial transpose of rho.
 
     InvalidState where rho is not 9x9, fails the kernel's own Hermiticity
@@ -80,8 +74,7 @@ def negativity(rho: np.ndarray) -> NegativityResult:
     w = eigvalsh(partial_transpose(rho))
     neg = w[w < -NEGATIVE_EIG_TOL]
     # an empty sum negated is -0.0; a separable state reports +0.0
-    value = float(-neg.sum()) if neg.size else 0.0
-    return NegativityResult(value=value)
+    return float(-neg.sum()) if neg.size else 0.0
 
 
 def _eig3(a11, a12, a13, a22, a23, a33) -> list:

@@ -165,14 +165,13 @@ class ModelParams:
 class EffectiveCoupling(NamedTuple):
     r: float
     theta: float
-    degenerate: bool
 
 
 def effective_coupling(p: ModelParams) -> EffectiveCoupling:
-    """p.r and p.theta, with the degenerate flag set where r = 0: there
-    both J and Dz vanish and the phase, reported as 0, is undefined (the
-    Hamiltonian itself stays well-defined)."""
-    return EffectiveCoupling(p.r, p.theta, p.r == 0.0)
+    """p.r and p.theta.  Where r = 0, both J and Dz vanish and the phase,
+    reported as 0, is undefined (the Hamiltonian itself stays
+    well-defined)."""
+    return EffectiveCoupling(p.r, p.theta)
 
 
 def hamiltonian_tensor(p: ModelParams) -> np.ndarray:

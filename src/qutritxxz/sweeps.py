@@ -72,11 +72,17 @@ class SweepSpec:
     def __post_init__(self):
         if self.vary not in ("T", "B", "Dz", "R"):
             raise ValueError(f"vary must be one of T, B, Dz, R; got {self.vary!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"sweep range must be finite, got [{self.start}, {self.stop}]")
         if not self.start < self.stop:
             raise ValueError(f"need start < stop, got [{self.start}, {self.stop}]")
         if self.steps < 2:
             raise ValueError(f"need at least 2 steps, got {self.steps}")
         grid = self.grid()
+        # x * 1e10 in grid() overflows above about 1.8e298
+        if not all(map(math.isfinite, grid)):
+            raise ValueError(f"grid values overflow when rounded to 10 decimals: "
+                             f"{self.steps} steps on [{self.start}, {self.stop}]")
         if not all(a < b for a, b in zip(grid, grid[1:])):
             raise ValueError(f"grid values collide after rounding to 10 decimals: "
                              f"{self.steps} steps on [{self.start}, {self.stop}]")
@@ -108,19 +114,16 @@ class CriticalPoint:
     bracket: tuple
 
 
-def _point(p: ModelParams, T: float, with_ln_z: bool = False) -> dict:
+def _point(p: ModelParams, T: float) -> dict:
     """One row: the parameters, J, r and theta as p holds them, and Z, the
-    ground energy and N of one thermal state; with_ln_z adds its ln Z
-    last, as "ln_Z"."""
+    ground energy, N and, last, ln Z of one thermal state.  ln Z is not a
+    CSV column; the JSON of the negativity command prints it."""
     z, ln_z, ground_energy, n = _point_values(p, T)
-    rec = {
+    return {
         "T": T, "B": p.B, "Dz": p.Dz, "R": p.R, "gamma": p.gamma,
         "J": p.J, "r": p.r, "theta": p.theta, "Z": z,
-        "ground_energy": ground_energy, "negativity": n,
+        "ground_energy": ground_energy, "negativity": n, "ln_Z": ln_z,
     }
-    if with_ln_z:
-        rec["ln_Z"] = ln_z
-    return rec
 
 
 def _apply(spec: SweepSpec, value: float):

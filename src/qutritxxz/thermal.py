@@ -53,12 +53,10 @@ GROUND_DEGENERACY_TOL = 1e-9
 class ThermalState:
     """Normalized thermal density matrix.  Z is the partition function; at
     beta = inf it holds the ground-level degeneracy instead (the limit of
-    the shifted sum).  ground_energy is the lowest level of H."""
+    the shifted sum)."""
 
-    beta: float
     Z: float
     rho: np.ndarray
-    ground_energy: float
 
 
 def inverse_temperature(T: float, allow_zero: bool = False) -> float:
@@ -136,8 +134,7 @@ def gibbs_numeric(p: ModelParams, T: float) -> ThermalState:
     vecs = dec.eigenvectors
     u, zs, eps_min = _weights(dec.eigenvalues.tolist(), beta)
     rho = (vecs * (np.array(u) / zs)) @ vecs.conj().T
-    return ThermalState(beta=beta, Z=_z_and_log_z(zs, beta, eps_min)[0], rho=rho,
-                        ground_energy=eps_min)
+    return ThermalState(Z=_z_and_log_z(zs, beta, eps_min)[0], rho=rho)
 
 
 def _rho_elements(eps, r: float, u) -> tuple:
@@ -207,9 +204,8 @@ def _analytic_rho(elements, theta: float) -> np.ndarray:
 
 def _thermal_state(p: ModelParams, beta: float) -> ThermalState:
     """_state at beta with rho expanded into its 9x9 matrix."""
-    z, _, ground_energy, elements = _state(p, beta)
-    return ThermalState(beta=beta, Z=z, rho=_analytic_rho(elements, p.theta),
-                        ground_energy=ground_energy)
+    z, _, _, elements = _state(p, beta)
+    return ThermalState(Z=z, rho=_analytic_rho(elements, p.theta))
 
 
 def gibbs_analytic(p: ModelParams, T: float) -> ThermalState:

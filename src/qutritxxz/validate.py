@@ -19,7 +19,6 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 from .entanglement import (
-    NEGATIVE_EIG_TOL,
     negativity,
     partial_transpose,
     pure_state_negativity_oracle,
@@ -167,9 +166,9 @@ def check_symmetries(n_draws=20, seed=11):
     for _ in range(n_draws):
         p = _random_params(rng)
         t = float(rng.uniform(0.05, 2.0))
-        n0 = negativity(gibbs_analytic(p, t).rho).value
-        n_dz = negativity(gibbs_analytic(replace(p, Dz=-p.Dz), t).rho).value
-        n_b = negativity(gibbs_analytic(replace(p, B=-p.B), t).rho).value
+        n0 = negativity(gibbs_analytic(p, t).rho)
+        n_dz = negativity(gibbs_analytic(replace(p, Dz=-p.Dz), t).rho)
+        n_b = negativity(gibbs_analytic(replace(p, B=-p.B), t).rho)
         gaps_dz.append(abs(n0 - n_dz))
         gaps_b.append(abs(n0 - n_b))
     return [
@@ -203,7 +202,7 @@ def check_invariants(n_draws=50, seed=20240906):
         q = _same_invariants(p, -1.0 if rng.random() < 0.5 else float(rng.uniform(1.0, 3.0)))
         z_p, _, n_p = thermal_point(p, t)
         z_q, _, n_q = thermal_point(q, t)
-        dense = [negativity(gibbs_numeric(x, t).rho).value for x in (p, q)]
+        dense = [negativity(gibbs_numeric(x, t).rho) for x in (p, q)]
         gaps_n += [abs(n_p - n_q), abs(dense[0] - dense[1])]
         gaps_z.append(abs(z_p - z_q) / z_p)
     return [
@@ -225,7 +224,7 @@ def check_oracle(seed=13):
         vecs = analytic_spectrum(p).vecs
         for i in range(9):
             c = vecs[:, i]
-            full = negativity(np.outer(c, c.conj())).value
+            full = negativity(np.outer(c, c.conj()))
             gaps.append(abs(full - pure_state_negativity_oracle(c)))
     a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     rho = a @ a.conj().T
@@ -238,22 +237,17 @@ def check_oracle(seed=13):
 
 
 def check_negativity_routes(n_draws=100, seed=20240903):
-    """negativity(rho) and the closed-form thermal_point vs dense Jacobi
+    """The closed-form thermal_point vs negativity(rho), dense Jacobi
     (eigvalsh) on the whole partial transpose, for states from every
     branch a sweep point can take: the closed form at r > 0, the diagonal
     state at r = 0 and the T = 0 mixture.  Each draw also takes the states whose 3x3
     partial-transpose block has two nearly equal eigenvalues, the hardest
     case for the closed form of entanglement._eig3: T in [1e3, 1e9], and
-    T = 0 at the exact field crossings in [0, 3] of the drawn couplings.
-
-    negativity runs the same eigvalsh on the same matrix, so
-    negativity_sector_vs_dense reads 0.0 by construction; it guards
-    negativity's input gates, sort order and -1e-12 cut.  The independent
-    comparison is negativity_closed_form_vs_dense."""
+    T = 0 at the exact field crossings in [0, 3] of the drawn couplings."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    gaps_sector, gaps_point = [], []
+    gaps = []
     for _ in range(n_draws):
         p = _random_params(rng)
         t = float(rng.uniform(0.01, 5.0))
@@ -267,15 +261,10 @@ def check_negativity_routes(n_draws=100, seed=20240903):
             at = replace(p, B=cp.value)
             cases.append((at, 0.0, ground_state_mixture(at)))
         for params, temperature, state in cases:
-            w = eigvalsh(partial_transpose(state.rho))
-            dense = -float(w[w < -NEGATIVE_EIG_TOL].sum())
-            gaps_sector.append(abs(negativity(state.rho).value - dense))
-            gaps_point.append(abs(thermal_point(params, temperature)[2] - dense))
-    detail = (f"{len(gaps_point)} states from {n_draws} draws: T in [0.01, 5] (also at r = 0), "
-              "T = 0, T in [1e3, 1e9] and T = 0 at the field crossings")
-    return [_verdict("negativity_sector_vs_dense", gaps_sector, 1e-12, detail),
-            _verdict("negativity_closed_form_vs_dense", gaps_point, 1e-12,
-                     f"thermal_point, {detail}")]
+            gaps.append(abs(thermal_point(params, temperature)[2] - negativity(state.rho)))
+    return [_verdict("negativity_closed_form_vs_dense", gaps, 1e-12,
+                     f"thermal_point, {len(gaps)} states from {n_draws} draws: T in [0.01, 5] "
+                     "(also at r = 0), T = 0, T in [1e3, 1e9] and T = 0 at the field crossings")]
 
 
 def check_hf_maximum():
@@ -301,7 +290,7 @@ def check_headline():
     too: the ground level eps9 alone, whose vector (2 e2, -chi2 e1, 2)/n9
     gives N = 4 (1 + chi2)/(chi2^2 + 8), and thermal_point at T = 0."""
     p = ModelParams(R=0.5, gamma=1.0, Dz=1.0, B=0.0)
-    full = negativity(ground_state_mixture(p).rho).value
+    full = negativity(ground_state_mixture(p).rho)
     spec = analytic_spectrum(p)
     oracle = pure_state_negativity_oracle(spec.vecs[:, 8])
     paper_gap = abs(full - PAPER_HEADLINE_NEGATIVITY)
@@ -354,7 +343,7 @@ def check_critical_dz(n_draws=10, seed=20240907):
     rng = np.random.default_rng(seed)
 
     def dense(r, t, dz):
-        return negativity(gibbs_numeric(ModelParams(R=r, B=0.5, Dz=dz), t).rho).value
+        return negativity(gibbs_numeric(ModelParams(R=r, B=0.5, Dz=dz), t).rho)
 
     margins, widest, onsets, no_onsets, passed = [], 0.0, 0, 0, True
     for r in [1.0, *rng.uniform(0.2, 3.0, n_draws)]:

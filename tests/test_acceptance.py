@@ -86,7 +86,7 @@ def test_criterion_4_hf_coupling_maximum():
 
 def test_criterion_5_headline_negativity():
     p = ModelParams(R=0.5, gamma=1.0, Dz=1.0, B=0.0)
-    full = negativity(ground_state_mixture(p).rho).value
+    full = negativity(ground_state_mixture(p).rho)
     oracle = pure_state_negativity_oracle(analytic_spectrum(p).vecs[:, 8])
     route_gap = abs(full - oracle)
     paper_gap = abs(full - 0.9616)
@@ -107,7 +107,7 @@ def test_criterion_6_zero_temperature_field_plateaus():
 
     def plateau(b):
         return negativity(ground_state_mixture(
-            ModelParams(R=1.0, gamma=1.0, Dz=1.0, B=b)).rho).value
+            ModelParams(R=1.0, gamma=1.0, Dz=1.0, B=b)).rho)
 
     lo, mid, hi = plateau(0.2), plateau(0.9), plateau(1.5)
     plateau_ok = (abs(lo - 0.974159) < 1e-4 and abs(mid - 0.5) < 1e-10 and hi == 0.0)
@@ -181,20 +181,20 @@ def test_criterion_8_property_suite():
             failures.append("commutation")
         if not np.array_equal(partial_transpose(partial_transpose(rho)), rho):
             failures.append("pt_involution")
-        n0 = negativity(rho).value
+        n0 = negativity(rho)
         u = np.kron(haar_unitary(rng), haar_unitary(rng))
-        if abs(negativity(u @ rho @ u.conj().T).value - n0) > 1e-9:
+        if abs(negativity(u @ rho @ u.conj().T) - n0) > 1e-9:
             failures.append("local_unitary")
         flip_dz = ModelParams(R=p.R, gamma=p.gamma, Dz=-p.Dz, B=p.B)
         flip_b = ModelParams(R=p.R, gamma=p.gamma, Dz=p.Dz, B=-p.B)
-        if abs(negativity(gibbs_analytic(flip_dz, t).rho).value - n0) > 1e-10:
+        if abs(negativity(gibbs_analytic(flip_dz, t).rho) - n0) > 1e-10:
             failures.append("dz_parity")
-        if abs(negativity(gibbs_analytic(flip_b, t).rho).value - n0) > 1e-10:
+        if abs(negativity(gibbs_analytic(flip_b, t).rho) - n0) > 1e-10:
             failures.append("b_parity")
     vecs = analytic_spectrum(ModelParams(R=0.7, gamma=1.1, Dz=0.9, B=0.4)).vecs
     for i in range(9):
         c = vecs[:, i]
-        full = negativity(np.outer(c, c.conj())).value
+        full = negativity(np.outer(c, c.conj()))
         if abs(full - pure_state_negativity_oracle(c)) > 1e-10:
             failures.append(f"oracle_phi{i + 1}")
     _report(8, not failures, f"property suite failures: {failures or 'none'}")

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from qutritxxz import sweeps
 from qutritxxz.cli import build_parser, main
 from qutritxxz.model import ModelParams
 from qutritxxz.output import csv_text
-from qutritxxz.sweeps import CSV_COLUMNS, FIGURE_NAMES, SweepSpec, run_sweep
+from qutritxxz.sweeps import CSV_COLUMNS, FIGURE_NAMES, SweepError, SweepSpec, run_sweep
 
 
 def test_negativity_point(capsys):
@@ -125,6 +126,32 @@ def test_critical_field_degenerate_at_zero_field(capsys):
     assert main(["critical", "--axis", "B", "--J", "0", "--Dz", "0", "--max", "1"]) == 0
     assert json.loads(capsys.readouterr().out) == [
         {"parameter": "B", "value": 0.0, "kind": "LevelCrossing", "bracket": [0.0, 0.0]}]
+
+
+def test_critical_dz_no_onset_is_a_json_answer(capsys):
+    # N is already above the threshold at Dz = 0: an answer, not an error exit
+    assert main(["critical", "--axis", "Dz", "--R", "0.5", "--B", "0", "--T", "0.01"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "NoOnset", "detail": "negativity already exceeds 0.001 at Dz = 0"}
+
+
+def test_failing_grid_point_is_a_sweep_error(monkeypatch, capsys):
+    point, cause = sweeps._point, ZeroDivisionError("spoiled point")
+
+    def failing(p, T):
+        if p.B == 0.5:
+            raise cause
+        return point(p, T)
+
+    monkeypatch.setattr(sweeps, "_point", failing)
+    with pytest.raises(SweepError, match="sweep failed at grid value 0.5") as exc:
+        run_sweep(SweepSpec(vary="B", start=0.0, stop=1.0, steps=3))
+    assert exc.value.grid_value == 0.5
+    assert exc.value.__cause__ is cause
+    assert main(["sweep", "--vary", "B", "--from", "0", "--to", "1", "--steps", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: sweep failed at grid value 0.5: spoiled point\n"
 
 
 def test_spectrum_at_r0(capsys):
@@ -312,6 +339,20 @@ def test_negative_inf_and_nan_reach_the_model_check(value, capsys):
 def test_bad_scan_and_grid_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("start, stop, steps, message", [
+    ("0", "1e300", "3", "grid values overflow when rounded to 10 decimals: "
+                        "3 steps on [0.0, 1e+300]"),
+    ("-inf", "1", "3", "sweep range must be finite, got [-inf, 1.0]"),
+    ("0", "1e300", "2", "grid values overflow when rounded to 10 decimals: "
+                        "2 steps on [0.0, 1e+300]"),
+], ids=["huge-3-steps", "minus-inf", "huge-2-steps"])
+def test_non_finite_sweep_range_is_named(start, stop, steps, message, capsys):
+    # the grid rounds through x * 1e10, which overflows above about 1.8e298
+    argv = ["sweep", "--vary", "B", "--from", start, "--to", stop, "--steps", steps]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

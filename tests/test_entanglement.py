@@ -99,23 +99,23 @@ def test_pt_bad_shape():
 
 def test_negativity_maximally_mixed():
     rho = np.eye(9, dtype=complex) / 9
-    res = negativity(rho)
-    assert res.value == 0.0
+    n = negativity(rho)
+    assert n == 0.0
     assert _negative_pt_eigenvalues(rho).size == 0
 
 
 def test_negativity_separable_is_positive_zero():
     # no negative PT eigenvalues: the value must not be the -0.0 of a negated empty sum
-    res = negativity(np.eye(9, dtype=complex) / 9)
-    assert math.copysign(1.0, res.value) == 1.0
+    n = negativity(np.eye(9, dtype=complex) / 9)
+    assert math.copysign(1.0, n) == 1.0
 
 
 def test_negativity_maximally_entangled():
     c = np.zeros(9)
     c[[0, 4, 8]] = 1.0  # (|00> + |11> + |22>) / sqrt(3)
     rho = _pure(c)
-    res = negativity(rho)
-    assert res.value == pytest.approx(1.0, abs=1e-12)
+    n = negativity(rho)
+    assert n == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(_negative_pt_eigenvalues(rho), -1 / 3, atol=1e-12)
 
 
@@ -123,8 +123,8 @@ def test_negativity_phi2():
     p = ModelParams(R=0.5, gamma=1.0, Dz=1.0, B=0.0)
     phi2 = analytic_spectrum(p).vecs[:, 1]
     rho = np.outer(phi2, phi2.conj())
-    res = negativity(rho)
-    assert res.value == pytest.approx(0.5, abs=1e-12)
+    n = negativity(rho)
+    assert n == pytest.approx(0.5, abs=1e-12)
     assert _negative_pt_eigenvalues(rho).size == 1
 
 
@@ -133,14 +133,14 @@ def test_negativity_product_states():
         for m2 in range(3):
             c = np.zeros(9)
             c[3 * m1 + m2] = 1.0
-            assert negativity(_pure(c)).value == 0.0
+            assert negativity(_pure(c)) == 0.0
 
 
 def test_negativity_headline_value():
     # frozen from the pure-state oracle on the closed-form ground state;
     # the published headline quotes 0.9616 for this regime
     p = ModelParams(R=0.5, gamma=1.0, Dz=1.0, B=0.0)
-    n = negativity(ground_state_mixture(p).rho).value
+    n = negativity(ground_state_mixture(p).rho)
     assert n == pytest.approx(0.9659875012030359, abs=1e-9)
     assert abs(n - 0.9616) < 0.01
 
@@ -163,7 +163,7 @@ def test_negativity_both_subsystems_agree():
     rho = gibbs_analytic(p, 0.3).rho
     pt2 = rho.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
     w = np.linalg.eigvalsh(pt2)
-    assert abs(negativity(rho).value + float(w[w < -1e-12].sum())) < 1e-10
+    assert abs(negativity(rho) + float(w[w < -1e-12].sum())) < 1e-10
 
 
 def test_negativity_rejects_invalid_states():
@@ -187,7 +187,7 @@ def test_negativity_rejects_asymmetry_above_the_kernel_gate():
     with pytest.raises(InvalidState, match="not Hermitian"):
         negativity(rho)
     rho[0, 1] = 1e-13
-    assert negativity(rho).value == 0.0
+    assert negativity(rho) == 0.0
 
 
 def test_oracle_product_state():
@@ -209,7 +209,7 @@ def test_oracle_phi8_closed_form():
     b = spec.chi1 / np.sqrt(spec.chi1**2 + 8)
     expected = a * a + 2 * a * b
     assert pure_state_negativity_oracle(spec.vecs[:, 7]) == pytest.approx(expected, abs=1e-12)
-    full = negativity(_pure(spec.vecs[:, 7])).value
+    full = negativity(_pure(spec.vecs[:, 7]))
     assert abs(full - expected) < 1e-10
 
 
@@ -218,7 +218,7 @@ def test_oracle_matches_pipeline_on_all_eigenvectors(rng):
         p = random_params(rng)
         vecs = analytic_spectrum(p).vecs
         for i in range(9):
-            full = negativity(_pure(vecs[:, i])).value
+            full = negativity(_pure(vecs[:, i]))
             oracle = pure_state_negativity_oracle(vecs[:, i])
             assert abs(full - oracle) < 1e-10
 
@@ -238,10 +238,10 @@ def test_oracle_rejects_unnormalized():
 def test_local_unitary_invariance(rng):
     p = ModelParams(R=0.5, gamma=1.0, Dz=1.0, B=0.3)
     rho = gibbs_analytic(p, 0.2).rho
-    n0 = negativity(rho).value
+    n0 = negativity(rho)
     for _ in range(20):
         u = np.kron(haar_unitary(rng), haar_unitary(rng))
-        n1 = negativity(u @ rho @ u.conj().T).value
+        n1 = negativity(u @ rho @ u.conj().T)
         assert abs(n0 - n1) < 1e-9
 
 
@@ -249,9 +249,9 @@ def test_parity_in_dz(rng):
     for _ in range(10):
         p = random_params(rng)
         t = float(rng.uniform(0.05, 2.0))
-        n_plus = negativity(gibbs_analytic(p, t).rho).value
+        n_plus = negativity(gibbs_analytic(p, t).rho)
         p_m = ModelParams(R=p.R, gamma=p.gamma, Dz=-p.Dz, B=p.B)
-        n_minus = negativity(gibbs_analytic(p_m, t).rho).value
+        n_minus = negativity(gibbs_analytic(p_m, t).rho)
         assert abs(n_plus - n_minus) < 1e-10
 
 
@@ -259,19 +259,18 @@ def test_parity_in_b(rng):
     for _ in range(10):
         p = random_params(rng)
         t = float(rng.uniform(0.05, 2.0))
-        n_plus = negativity(gibbs_analytic(p, t).rho).value
+        n_plus = negativity(gibbs_analytic(p, t).rho)
         p_m = ModelParams(R=p.R, gamma=p.gamma, Dz=p.Dz, B=-p.B)
-        n_minus = negativity(gibbs_analytic(p_m, t).rho).value
+        n_minus = negativity(gibbs_analytic(p_m, t).rho)
         assert abs(n_plus - n_minus) < 1e-10
 
 
 def test_negativity_value_matches_stored_eigenvalues(rng):
     p = random_params(rng)
     rho = gibbs_analytic(p, 0.1).rho
-    res = negativity(rho)
-    assert res.value == pytest.approx(float(np.abs(_negative_pt_eigenvalues(rho)).sum()),
-                                      abs=1e-12)
-    assert 0.0 <= res.value <= 1.0 + 1e-9
+    n = negativity(rho)
+    assert n == pytest.approx(float(np.abs(_negative_pt_eigenvalues(rho)).sum()), abs=1e-12)
+    assert 0.0 <= n <= 1.0 + 1e-9
 
 
 def test_negativity_matches_dense_path_on_every_route(rng):
@@ -282,7 +281,7 @@ def test_negativity_matches_dense_path_on_every_route(rng):
         for rho in (gibbs_analytic(p, t).rho, gibbs_numeric(r0, t).rho,
                     ground_state_mixture(p).rho):
             pt = partial_transpose(rho)
-            n = negativity(rho).value
+            n = negativity(rho)
             # hermitian_eig shares _jacobi with negativity; numpy's LAPACK
             # eigvalsh (tests only) is the independent oracle
             for w in (hermitian_eig(pt).eigenvalues, np.linalg.eigvalsh(pt)):
@@ -326,7 +325,7 @@ def test_element_negativity_maximally_entangled():
     el = (0.0, 0.0, 0.0, third, third, third, third, 0.0, 0.0, 0.0)
     assert element_negativity(el) == pytest.approx(1.0, abs=1e-15)
     for theta in (0.0, 0.7, -2.9):
-        assert negativity(_state_from_elements(el, theta)).value == pytest.approx(1.0, abs=1e-15)
+        assert negativity(_state_from_elements(el, theta)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_element_negativity_matches_pipeline_on_thermal_states(rng):
@@ -339,7 +338,7 @@ def test_element_negativity_matches_pipeline_on_thermal_states(rng):
               (rho[2, 4] / e1).real, (rho[2, 6] / e1 ** 2).real, rho[4, 4].real,
               rho[5, 5].real, (rho[5, 7] / e1).real, rho[8, 8].real]
         assert np.max(np.abs(_state_from_elements(el, p.theta) - rho)) < 1e-15
-        assert element_negativity(el) == pytest.approx(negativity(rho).value, abs=1e-14)
+        assert element_negativity(el) == pytest.approx(negativity(rho), abs=1e-14)
 
 
 def test_element_negativity_checks_the_trace():
@@ -436,7 +435,7 @@ def test_eig3_well_separated_block_runs_no_jacobi(jacobi_calls):
     p = ModelParams(R=0.5, Dz=1.0, B=0.3)
     for T in (0.5, 0.1, 2.0):
         rho = gibbs(p, T).rho
-        assert thermal_point(p, T)[2] == pytest.approx(negativity(rho).value, abs=1e-14)
+        assert thermal_point(p, T)[2] == pytest.approx(negativity(rho), abs=1e-14)
     assert jacobi_calls == []
 
 

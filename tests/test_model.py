@@ -112,27 +112,27 @@ def test_model_params_rejects_non_finite(field, value):
 
 
 def test_effective_coupling_examples():
-    r, theta, deg = effective_coupling(ModelParams(R=1.0, Dz=0.0, j_override=0.5))
-    assert (r, theta, deg) == (0.5, 0.0, False)
+    r, theta = effective_coupling(ModelParams(R=1.0, Dz=0.0, j_override=0.5))
+    assert (r, theta) == (0.5, 0.0)
 
-    r, theta, _ = effective_coupling(ModelParams(Dz=1.0, j_override=1.0))
+    r, theta = effective_coupling(ModelParams(Dz=1.0, j_override=1.0))
     assert r == pytest.approx(np.sqrt(2), abs=1e-15)
     assert theta == pytest.approx(np.pi / 4, abs=1e-15)
 
-    r, theta, _ = effective_coupling(ModelParams(R=1.0, Dz=1.0))
+    r, theta = effective_coupling(ModelParams(R=1.0, Dz=1.0))
     assert r == pytest.approx(1.0243934625956987, abs=1e-12)
     assert theta == pytest.approx(1.352128988674047, abs=1e-12)
 
 
 def test_effective_coupling_j_zero():
-    r, theta, _ = effective_coupling(ModelParams(Dz=1.0, j_override=0.0))
+    r, theta = effective_coupling(ModelParams(Dz=1.0, j_override=0.0))
     assert theta == pytest.approx(np.pi / 2, abs=1e-15)
     assert r == 1.0
 
 
 def test_effective_coupling_degenerate():
-    r, theta, degenerate = effective_coupling(ModelParams(Dz=0.0, j_override=0.0))
-    assert degenerate
+    # r = 0: the phase is undefined and reported as 0
+    r, theta = effective_coupling(ModelParams(Dz=0.0, j_override=0.0))
     assert (r, theta) == (0.0, 0.0)
 
 
@@ -150,7 +150,7 @@ def test_model_params_holds_j_r_theta():
     q = replace(p, Dz=0.0, j_override=-0.0)
     assert (q.J, q.r, q.theta) == (0.0, 0.0, 0.0)
     assert math.copysign(1.0, q.J) == -1.0
-    assert effective_coupling(q) == (0.0, 0.0, True)
+    assert effective_coupling(q) == (0.0, 0.0)
 
 
 def _built(p, name, value):
@@ -272,7 +272,7 @@ def test_top_left_entry():
 
 def test_closed_form_off_diagonal_phase():
     p = ModelParams(R=0.7, gamma=1.3, Dz=0.4, B=0.9)
-    r, theta, _ = effective_coupling(p)
+    r, theta = effective_coupling(p)
     h = hamiltonian_closed_form(p)
     assert h[1, 3] == pytest.approx(r * np.exp(1j * theta), abs=1e-14)
 

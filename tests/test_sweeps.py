@@ -59,6 +59,8 @@ def _numpy_grid_outcome(vary, start, stop, steps):
     """What SweepSpec made of a grid with numpy: the grid, or the error."""
     with np.errstate(all="ignore"):
         grid = np.round(np.linspace(start, stop, steps), 10)
+        if not np.all(np.isfinite(grid)):
+            return "overflow when rounded"
         if not np.all(np.diff(grid) > 0):
             return "collide after rounding"
     if vary == "T" and not grid[0] > 0:
@@ -98,7 +100,8 @@ def test_grid_is_numpy_round_linspace():
         # bytes: the sign of a zero grid value counts too
         assert got.tobytes() == expected
         seen.add("grid")
-    assert seen == {"grid", "collide after rounding", "must start at T > 0"}
+    assert seen == {"grid", "overflow when rounded", "collide after rounding",
+                    "must start at T > 0"}
 
 
 def test_temperature_checks_reject_nan():
