@@ -45,7 +45,8 @@ def asmatrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    # isfinite of a complex entry is False where either part is inf or NaN
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 

@@ -7,9 +7,12 @@ NaN, lies strictly below its tolerance, so a route that returns NaN fails.
 
 All draws use fixed seeds, so the report is reproducible.  The headline
 check also records the residual against the published value 0.9616,
-which the closed-form ground state does not reproduce exactly.  Every
-check draws or compares arrays, so each imports numpy itself; importing
-this module does not load it.
+which the closed-form ground state does not reproduce exactly.  A check
+takes its random parameters in one rng.uniform call (_draws), and
+check_spectrum, check_hamiltonian_routes and check_gibbs_routes run their
+routes per draw into stacked arrays and reduce the residuals once, per
+draw.  The checks that use numpy import it themselves; importing this
+module does not load it.
 """
 
 from __future__ import annotations
@@ -65,13 +68,16 @@ def _verdict(name: str, residuals: list, tol: float, detail: str = "") -> Check:
     return Check(name, worst < tol, worst, tol, detail)
 
 
-def _random_params(rng) -> ModelParams:
-    return ModelParams(
-        R=float(rng.uniform(0.05, 6.0)),
-        gamma=float(rng.uniform(-2.0, 2.0)),
-        Dz=float(rng.uniform(-3.0, 3.0)),
-        B=float(rng.uniform(-3.0, 3.0)),
-    )
+def _draws(rng, n: int, *extra: tuple) -> list:
+    """n draws of (ModelParams, *extras) from one rng.uniform call: per draw,
+    R in [0.05, 6], gamma in [-2, 2], Dz and B in [-3, 3], then one value in
+    each (low, high) of extra.  The generator fills the array row by row, so
+    the numbers and the state left behind are those of 4 + len(extra) scalar
+    rng.uniform calls per draw in the same order."""
+    bounds = [(0.05, 6.0), (-2.0, 2.0), (-3.0, 3.0), (-3.0, 3.0), *extra]
+    low, high = zip(*bounds)
+    rows = rng.uniform(low, high, size=(n, len(bounds))).tolist()
+    return [(ModelParams(R=r[0], gamma=r[1], Dz=r[2], B=r[3]), *r[4:]) for r in rows]
 
 
 def check_spectrum(n_draws=1000, seed=20240901):
@@ -79,17 +85,21 @@ def check_spectrum(n_draws=1000, seed=20240901):
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    eig, vec, chi, total = [], [], [], []
-    for _ in range(n_draws):
-        p = _random_params(rng)
+    h = np.empty((n_draws, 9, 9), dtype=complex)
+    vecs = np.empty((n_draws, 9, 9), dtype=complex)
+    eps = np.empty((n_draws, 9))
+    numeric = np.empty((n_draws, 9))
+    chi = []
+    for i, (p,) in enumerate(_draws(rng, n_draws)):
         spec = analytic_spectrum(p)
-        h = hamiltonian_tensor(p)
-        numeric = eigvalsh(h)
-        eig.append(float(np.max(np.abs(np.sort(spec.eps) - numeric))))
-        res = h @ spec.vecs - spec.vecs * spec.eps
-        vec.append(float(np.max(np.sqrt((res.conj() * res).real.sum(axis=0)))))
+        h[i] = hamiltonian_tensor(p)
+        numeric[i] = eigvalsh(h[i])
+        eps[i], vecs[i] = spec.eps, spec.vecs
         chi.append(abs(spec.chi1 * spec.chi2 - 8.0))
-        total.append(abs(float(spec.eps.sum())))
+    eig = np.abs(np.sort(eps) - numeric).max(axis=1).tolist()
+    res = h @ vecs - vecs * eps[:, None, :]
+    vec = np.sqrt((res.conj() * res).real.sum(axis=1)).max(axis=1).tolist()
+    total = np.abs(eps.sum(axis=1)).tolist()
     return [
         _verdict("spectrum_analytic_vs_numeric", eig, 1e-10, f"{n_draws} random parameter draws"),
         _verdict("eigenvector_residuals", vec, 1e-12),
@@ -102,10 +112,10 @@ def check_hamiltonian_routes(n_draws=100, seed=7):
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    gaps = []
-    for _ in range(n_draws):
-        p = _random_params(rng)
-        gaps.append(float(np.max(np.abs(hamiltonian_tensor(p) - hamiltonian_closed_form(p)))))
+    diff = np.empty((n_draws, 9, 9), dtype=complex)
+    for i, (p,) in enumerate(_draws(rng, n_draws)):
+        diff[i] = hamiltonian_tensor(p) - hamiltonian_closed_form(p)
+    gaps = np.abs(diff).max(axis=(1, 2)).tolist()
     return [_verdict("hamiltonian_tensor_vs_closed_form", gaps, 1e-12)]
 
 
@@ -114,12 +124,10 @@ def check_gibbs_routes(n_draws=200, seed=20240902):
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    gaps = []
-    for _ in range(n_draws):
-        p = _random_params(rng)
-        t = float(rng.uniform(0.05, 5.0))
-        diff = gibbs_analytic(p, t).rho - gibbs_numeric(p, t).rho
-        gaps.append(float(np.max(np.abs(diff))))
+    diff = np.empty((n_draws, 9, 9), dtype=complex)
+    for i, (p, t) in enumerate(_draws(rng, n_draws, (0.05, 5.0))):
+        diff[i] = gibbs_analytic(p, t).rho - gibbs_numeric(p, t).rho
+    gaps = np.abs(diff).max(axis=(1, 2)).tolist()
     return [_verdict("gibbs_analytic_vs_numeric", gaps, 1e-10, f"{n_draws} draws, T in [0.05, 5]")]
 
 
@@ -140,8 +148,7 @@ def check_ground_mixture(n_draws=100, seed=20240904):
     p1 = ModelParams(R=1.0, gamma=1.0, Dz=1.0)
     points = [ModelParams(Dz=0.0, j_override=0.0)]
     points += [replace(p1, B=float(b)) for b in _field_crossings(p1)]
-    for _ in range(n_draws):
-        p = _random_params(rng)
+    for p, in _draws(rng, n_draws):
         points += [p, replace(p, Dz=0.0, j_override=0.0)]
     gaps = []
     for p in points:
@@ -163,9 +170,7 @@ def check_symmetries(n_draws=20, seed=11):
 
     rng = np.random.default_rng(seed)
     gaps_dz, gaps_b = [], []
-    for _ in range(n_draws):
-        p = _random_params(rng)
-        t = float(rng.uniform(0.05, 2.0))
+    for p, t in _draws(rng, n_draws, (0.05, 2.0)):
         n0 = negativity(gibbs_analytic(p, t).rho)
         n_dz = negativity(gibbs_analytic(replace(p, Dz=-p.Dz), t).rho)
         n_b = negativity(gibbs_analytic(replace(p, B=-p.B), t).rho)
@@ -197,8 +202,8 @@ def check_invariants(n_draws=50, seed=20240906):
     rng = np.random.default_rng(seed)
     gaps_n, gaps_z = [], []
     for _ in range(n_draws):
-        p = _random_params(rng)
-        t = float(rng.uniform(0.05, 2.0))
+        # one draw at a time: rng.random() below decides whether rng.uniform follows
+        ((p, t),) = _draws(rng, 1, (0.05, 2.0))
         q = _same_invariants(p, -1.0 if rng.random() < 0.5 else float(rng.uniform(1.0, 3.0)))
         z_p, _, n_p = thermal_point(p, t)
         z_q, _, n_q = thermal_point(q, t)
@@ -219,8 +224,7 @@ def check_oracle(seed=13):
 
     rng = np.random.default_rng(seed)
     gaps = []
-    for _ in range(5):
-        p = _random_params(rng)
+    for p, in _draws(rng, 5):
         vecs = analytic_spectrum(p).vecs
         for i in range(9):
             c = vecs[:, i]
@@ -248,10 +252,8 @@ def check_negativity_routes(n_draws=100, seed=20240903):
 
     rng = np.random.default_rng(seed)
     gaps = []
-    for _ in range(n_draws):
-        p = _random_params(rng)
-        t = float(rng.uniform(0.01, 5.0))
-        t_high = float(10.0 ** rng.uniform(3.0, 9.0))
+    for p, t, u in _draws(rng, n_draws, (0.01, 5.0), (3.0, 9.0)):
+        t_high = 10.0 ** u
         r0 = replace(p, Dz=0.0, j_override=0.0)
         cases = [(p, t, gibbs_analytic(p, t)),
                  (r0, t, gibbs_numeric(r0, t)),

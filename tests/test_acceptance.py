@@ -4,7 +4,6 @@ pass/fail line (run with -s to see them on success)."""
 import time
 
 import numpy as np
-import pytest
 
 from qutritxxz.entanglement import (
     negativity,
@@ -20,9 +19,7 @@ from qutritxxz.model import (
 )
 from qutritxxz.output import emit_csv
 from qutritxxz.sweeps import (
-    NoOnset,
     SweepSpec,
-    detect_critical_dz,
     detect_critical_field,
     figure_preset,
     run_sweep,

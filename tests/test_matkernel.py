@@ -38,6 +38,17 @@ def test_nonfinite_rejected():
         mk.asmatrix(np.array([[np.nan, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize("z", [complex(1, np.inf), complex(np.nan, 0), complex(0, np.nan)],
+                         ids=["imag-inf", "real-nan", "imag-nan"])
+@pytest.mark.parametrize("route", [mk.asmatrix, mk.eigvalsh], ids=["asmatrix", "eigvalsh"])
+def test_complex_nonfinite_rejected(route, z):
+    # one non-finite part of one entry, mirrored so that only the finiteness gate can fail
+    a = np.eye(3, dtype=complex)
+    a[0, 1], a[1, 0] = z, z.conjugate()
+    with pytest.raises(ValueError, match="non-finite"):
+        route(a)
+
+
 def test_eig_diagonal():
     d = mk.hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
     assert np.allclose(d.eigenvalues, [1, 2, 3], atol=1e-14)

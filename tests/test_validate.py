@@ -2,7 +2,9 @@
 
 Each case replaces one name that a check reads from qutritxxz.validate by
 a wrapper whose result carries NaN, runs the check with few draws and
-expects that check to fail with a NaN worst residual."""
+expects that check to fail with a NaN worst residual.  The parameter draws
+and the residuals reduced on stacked arrays are held to the scalar loops
+they replace."""
 
 import importlib
 import math
@@ -11,7 +13,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qutritxxz.matkernel import EigenDecomposition
+from qutritxxz.matkernel import EigenDecomposition, eigvalsh
+from qutritxxz.model import (
+    ModelParams,
+    analytic_spectrum,
+    hamiltonian_closed_form,
+    hamiltonian_tensor,
+)
+from qutritxxz.thermal import gibbs_analytic, gibbs_numeric
 
 V = importlib.import_module("qutritxxz.validate")
 NAN = math.nan
@@ -92,3 +101,73 @@ def test_verdict_takes_the_worst_and_fails_on_nan(residuals, worst, passed):
     check = V._verdict("x", residuals, 1e-12, "detail")
     assert check.passed is passed and check.detail == "detail" and check.tolerance == 1e-12
     assert np.array_equal(check.worst_residual, worst, equal_nan=True)
+
+
+def _scalar_draws(rng, n, *extra):
+    """n rows of R, gamma, Dz, B and the extras, one rng.uniform call each."""
+    bounds = [(0.05, 6.0), (-2.0, 2.0), (-3.0, 3.0), (-3.0, 3.0), *extra]
+    return [[float(rng.uniform(lo, hi)) for lo, hi in bounds] for _ in range(n)]
+
+
+@pytest.mark.parametrize("extra", [(), ((0.05, 5.0),), ((0.01, 5.0), (3.0, 9.0))],
+                         ids=["no-extra", "one-extra", "two-extras"])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_draws_match_scalar_uniform_calls(n, extra):
+    rng, ref = np.random.default_rng(20240901), np.random.default_rng(20240901)
+    got = V._draws(rng, n, *extra)
+    assert [[d[0].R, d[0].gamma, d[0].Dz, d[0].B, *d[1:]] for d in got] == _scalar_draws(
+        ref, n, *extra)
+    assert all(type(x) is float for d in got for x in d[1:])
+    # a check that draws on after _draws (check_oracle's rng.normal) sees the same stream
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.normal() == ref.normal()
+
+
+def _spectrum_per_draw(rng, n_draws):
+    """check_spectrum's four residual lists, one draw and one 9x9 at a time."""
+    eig, vec, chi, total = [], [], [], []
+    for r, gamma, dz, b in _scalar_draws(rng, n_draws):
+        p = ModelParams(R=r, gamma=gamma, Dz=dz, B=b)
+        spec = analytic_spectrum(p)
+        h = hamiltonian_tensor(p)
+        eig.append(float(np.max(np.abs(np.sort(spec.eps) - eigvalsh(h)))))
+        res = h @ spec.vecs - spec.vecs * spec.eps
+        vec.append(float(np.max(np.sqrt((res.conj() * res).real.sum(axis=0)))))
+        chi.append(abs(spec.chi1 * spec.chi2 - 8.0))
+        total.append(abs(float(spec.eps.sum())))
+    return [eig, vec, chi, total]
+
+
+def _hamiltonian_per_draw(rng, n_draws):
+    gaps = []
+    for r, gamma, dz, b in _scalar_draws(rng, n_draws):
+        p = ModelParams(R=r, gamma=gamma, Dz=dz, B=b)
+        gaps.append(float(np.max(np.abs(hamiltonian_tensor(p) - hamiltonian_closed_form(p)))))
+    return [gaps]
+
+
+def _gibbs_per_draw(rng, n_draws):
+    gaps = []
+    for r, gamma, dz, b, t in _scalar_draws(rng, n_draws, (0.05, 5.0)):
+        p = ModelParams(R=r, gamma=gamma, Dz=dz, B=b)
+        gaps.append(float(np.max(np.abs(gibbs_analytic(p, t).rho - gibbs_numeric(p, t).rho))))
+    return [gaps]
+
+
+@pytest.mark.parametrize("n_draws", [0, 1, 37])
+@pytest.mark.parametrize("check, per_draw", [
+    (V.check_spectrum, _spectrum_per_draw),
+    (V.check_hamiltonian_routes, _hamiltonian_per_draw),
+    (V.check_gibbs_routes, _gibbs_per_draw),
+], ids=["spectrum", "hamiltonian_routes", "gibbs_routes"])
+def test_stacked_residuals_match_the_per_draw_loop(monkeypatch, check, per_draw, n_draws):
+    seen = []
+    verdict = V._verdict
+    monkeypatch.setattr(V, "_verdict", lambda name, res, *a: seen.append(res) or verdict(
+        name, res, *a))
+    checks = check(n_draws=n_draws, seed=20240901)
+    assert seen == per_draw(np.random.default_rng(20240901), n_draws)
+    assert all(type(x) is float for res in seen for x in res)
+    assert all(c.passed for c in checks)
+    if n_draws == 0:
+        assert [c.worst_residual for c in checks] == [0.0] * len(checks)
