@@ -18,7 +18,6 @@ from .thermal import (  # noqa: F401
     gibbs_analytic,
     gibbs_numeric,
     ground_state_mixture,
-    log_partition_function,
     partition_function,
     thermal_point,
 )

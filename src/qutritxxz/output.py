@@ -30,13 +30,17 @@ def write_text(path, text: str) -> None:
     overwrite, so every rerun into the same output paid that stall.  The
     inode is kept, as with O_TRUNC: symlinks, hard links and the file mode
     survive.  Only a regular file is truncated, so a FIFO or /dev/stdout
-    works as a target too.
+    works as a target too.  An OSError is raised again as one naming
+    path, so each failure message says which file could not be written.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "wb") as fh:
-        fh.write(text.encode())
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as fh:
+            fh.write(text.encode())
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise OSError(f"failed writing {path}: {exc}") from exc
 
 
 def _plain(x):
@@ -97,20 +101,15 @@ def emit_csv(result, path) -> None:
     first); the meta blocks go to a companion <path>.meta.json."""
     results = _results(result)
     path = Path(path)
-    try:
-        write_text(path, csv_text(row for res in results for row in res.rows))
-        meta_path = path.with_name(path.name + ".meta.json")
-        write_text(meta_path, json.dumps(_plain([r.meta for r in results]),
-                                         indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed writing {path}: {exc}") from exc
+    write_text(path, csv_text(row for res in results for row in res.rows))
+    write_text(path.with_name(path.name + ".meta.json"),
+               json.dumps(_plain([r.meta for r in results]), indent=2, sort_keys=True) + "\n")
 
 
 def emit_svg(result, path, y_column: str = "negativity") -> None:
     """Polyline chart of y_column against the grid value, one curve per
     sweep result."""
     results = _results(result)
-    path = Path(path)
     xs = [row["grid_value"] for res in results for row in res.rows]
     ys = [row[y_column] for res in results for row in res.rows]
     x_lo, x_hi = min(xs), max(xs)
@@ -157,7 +156,4 @@ def emit_svg(result, path, y_column: str = "negativity") -> None:
             parts.append(f'<text x="{_WIDTH - _MARGIN + 4}" y="{_MARGIN + 16 * k}" '
                          f'font-size="11" fill="{color}">{label}</text>')
     parts.append("</svg>")
-    try:
-        write_text(path, "\n".join(parts) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed writing {path}: {exc}") from exc
+    write_text(path, "\n".join(parts) + "\n")

@@ -6,11 +6,11 @@ point.  A row derives only what its grid value changes: its parameters
 are the fixed ones copied with that one field set (ModelParams._with), so
 a B row reruns none of J, r and theta, a Dz row only r and theta, and a T
 row none, and the thermal numbers come from one thermal state
-(thermal._point_values, the body of thermal_point, which builds no 9x9
-matrix).  The Dz onset scan and the field scan copy their parameters the
-same way.  T = 0 grid points use the exact ground-level mixture, which
-makes the field-sweep entanglement plateaus sharp instead of smeared by a
-tiny temperature.
+(thermal_point, the one point evaluator, which builds no 9x9 matrix).
+The Dz onset scan and the field scan copy their parameters the same way.
+T = 0 grid points use the exact ground-level mixture, which makes the
+field-sweep entanglement plateaus sharp instead of smeared by a tiny
+temperature.
 The T = 0 critical fields, where those plateaus jump, are exact; the
 finite-T Dz onset is stepped, then narrowed by Illinois regula falsi
 with a finish that straddles the root (_root_bracket).
@@ -26,7 +26,6 @@ from . import __version__
 from .model import SIGN_CONVENTION_NOTE, ModelParams
 from .thermal import (
     GROUND_DEGENERACY_TOL,
-    _point_values,
     inverse_temperature,
     level_values,
     thermal_point,
@@ -118,7 +117,7 @@ def _point(p: ModelParams, T: float) -> dict:
     """One row: the parameters, J, r and theta as p holds them, and Z, the
     ground energy, N and, last, ln Z of one thermal state.  ln Z is not a
     CSV column; the JSON of the negativity command prints it."""
-    z, ln_z, ground_energy, n = _point_values(p, T)
+    z, ground_energy, n, ln_z = thermal_point(p, T)
     return {
         "T": T, "B": p.B, "Dz": p.Dz, "R": p.R, "gamma": p.gamma,
         "J": p.J, "r": p.r, "theta": p.theta, "Z": z,

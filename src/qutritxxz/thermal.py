@@ -7,25 +7,25 @@ holds), weights them (_weights) and returns Z, ln Z, the ground energy
 and the ten elements (r11, r22, r24, r33, r35, r37, r55, r66, r68, r99)
 of rho, from the levels alone when r > 0 (_rho_elements) and from the
 basis weights at r = 0, where H and rho are diagonal.  Every route reads
-it: thermal_point (and _point_values, which adds ln Z) takes the
-negativity of the elements (entanglement.element_negativity) with no
-matrix and no numpy; gibbs and ground_state_mixture (beta = inf) expand
-them into the 9x9 matrix (_analytic_rho) with the theta of ModelParams;
-partition_function and log_partition_function (finite where Z overflows)
-take Z and ln Z.
-gibbs_numeric diagonalizes the tensor-product Hamiltonian with the Jacobi
-kernel; it is the independent reference that validate and the tests
-compare against, entrywise to 1e-10, which checks the closed forms (and
-the eps9 sign).  Every route takes its weights from _weights, as Python
-floats shifted by eps_min before exponentiating, so arbitrarily low
-temperatures never overflow (math.exp of an exponent that overflows is
-exactly 0, with no warning), and summed by math.fsum; at T = inf
-(beta = 0) every weight is exactly 1.0, even where the spread of the
-levels overflows.  Z and ln Z both come from _z_and_log_z.  beta comes
-from inverse_temperature, which rejects a T whose 1/T overflows.  numpy
-is imported only by the routes that build rho as a matrix, so
-thermal_point, partition_function and importing this module do not load
-it.
+it: thermal_point, the one point evaluator, returns Z, the ground energy,
+the negativity of the elements (entanglement.element_negativity) and
+ln Z (finite where Z overflows) with no matrix and no numpy; gibbs and
+ground_state_mixture (beta = inf) expand them into the 9x9 matrix
+(_analytic_rho) with the theta of ModelParams; partition_function takes Z.
+_numeric_state, the dense twin of _thermal_state, diagonalizes the
+tensor-product Hamiltonian with the Jacobi kernel at any beta, inf
+included; through gibbs_numeric (T > 0) and at beta = inf it is the
+independent reference that validate and the tests compare against,
+entrywise to 1e-10, which checks the closed forms (and the eps9 sign).
+Every route takes its weights from _weights, as Python floats shifted by
+eps_min before exponentiating, so arbitrarily low temperatures never
+overflow (math.exp of an exponent that overflows is exactly 0, with no
+warning), and summed by math.fsum; at T = inf (beta = 0) every weight is
+exactly 1.0, even where the spread of the levels overflows.  Z and ln Z
+both come from _z_and_log_z.  beta comes from inverse_temperature, which
+rejects a T whose 1/T overflows.  numpy is imported only by the routes
+that build rho as a matrix, so thermal_point, partition_function and
+importing this module do not load it.
 """
 
 from __future__ import annotations
@@ -117,24 +117,22 @@ def partition_function(p: ModelParams, T: float) -> float:
     return _state(p, inverse_temperature(T))[0]
 
 
-def log_partition_function(p: ModelParams, T: float) -> float:
-    """ln Z of the same _state as thermal_point's Z, so exp(ln Z) is Z
-    wherever Z is finite; it stays finite below T ~ 1e-3, where Z
-    overflows.  T = 0 is allowed and gives the log of the ground-level
-    degeneracy that T = 0 rows report as Z."""
-    return _state(p, inverse_temperature(T, allow_zero=True))[1]
-
-
-def gibbs_numeric(p: ModelParams, T: float) -> ThermalState:
-    """exp(-beta H)/Z through the numeric eigensolver."""
+def _numeric_state(p: ModelParams, beta: float) -> ThermalState:
+    """exp(-beta H)/Z through the numeric eigensolver, or at beta = inf the
+    equal-weight mixture over its ground level: the dense twin of
+    _thermal_state, weighted by the same _weights."""
     import numpy as np
 
-    beta = inverse_temperature(T)
     dec = hermitian_eig(hamiltonian_tensor(p))
     vecs = dec.eigenvectors
     u, zs, eps_min = _weights(dec.eigenvalues.tolist(), beta)
     rho = (vecs * (np.array(u) / zs)) @ vecs.conj().T
     return ThermalState(Z=_z_and_log_z(zs, beta, eps_min)[0], rho=rho)
+
+
+def gibbs_numeric(p: ModelParams, T: float) -> ThermalState:
+    """exp(-beta H)/Z through the numeric eigensolver."""
+    return _numeric_state(p, inverse_temperature(T))
 
 
 def _rho_elements(eps, r: float, u) -> tuple:
@@ -232,17 +230,14 @@ def ground_state_mixture(p: ModelParams) -> ThermalState:
     return _thermal_state(p, math.inf)
 
 
-def _point_values(p: ModelParams, T: float) -> tuple:
-    """(Z, ln Z, ground_energy, negativity) of one _state at T >= 0."""
-    z, log_z, ground_energy, elements = _state(p, inverse_temperature(T, allow_zero=True))
-    return z, log_z, ground_energy, element_negativity(elements)
-
-
 def thermal_point(p: ModelParams, T: float) -> tuple:
-    """(Z, ground_energy, negativity) of gibbs(p, T), or at T = 0 of
-    ground_state_mixture(p), with no 9x9 matrix: the same _state, and the
+    """(Z, ground_energy, negativity, ln Z) of gibbs(p, T), or at T = 0 of
+    ground_state_mixture(p), with no 9x9 matrix: one _state, and the
     negativity of its ten elements (element_negativity).  At r = 0, rho is
-    diagonal, so its partial transpose is rho itself and N = +0.0.
+    diagonal, so its partial transpose is rho itself and N = +0.0.  ln Z
+    stays finite below T ~ 1e-3, where Z overflows, and exp(ln Z) is Z
+    wherever Z is finite; at T = 0 it is the log of the ground-level
+    degeneracy that Z holds there.
     """
-    z, _, ground_energy, n = _point_values(p, T)
-    return z, ground_energy, n
+    z, log_z, ground_energy, elements = _state(p, inverse_temperature(T, allow_zero=True))
+    return z, ground_energy, element_negativity(elements), log_z

@@ -26,7 +26,7 @@ from .entanglement import (
     partial_transpose,
     pure_state_negativity_oracle,
 )
-from .matkernel import eigvalsh, hermitian_eig
+from .matkernel import eigvalsh
 from .model import (
     ModelParams,
     analytic_spectrum,
@@ -43,7 +43,7 @@ from .sweeps import (
     detect_critical_field,
 )
 from .thermal import (
-    GROUND_DEGENERACY_TOL,
+    _numeric_state,
     gibbs_analytic,
     gibbs_numeric,
     ground_state_mixture,
@@ -139,9 +139,12 @@ def _field_crossings(p: ModelParams) -> list:
 
 
 def check_ground_mixture(n_draws=100, seed=20240904):
-    """Closed-form T = 0 mixture vs the projector on the Jacobi ground level
-    of the tensor Hamiltonian: random draws, each also at r = 0, plus the
-    fully degenerate r = B = 0 point and the two fig4c crossings."""
+    """Closed-form T = 0 mixture vs the dense state at beta = inf, the
+    projector on the Jacobi ground level of the tensor Hamiltonian over its
+    degeneracy (thermal._numeric_state): rho entrywise, and Z, the
+    ground-level degeneracy, exactly.  Random draws, each also at r = 0,
+    plus the fully degenerate r = B = 0 point and the two fig4c
+    crossings."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -152,14 +155,11 @@ def check_ground_mixture(n_draws=100, seed=20240904):
         points += [p, replace(p, Dz=0.0, j_override=0.0)]
     gaps = []
     for p in points:
-        state = ground_state_mixture(p)
-        dec = hermitian_eig(hamiltonian_tensor(p))
-        w = dec.eigenvalues
-        v = dec.eigenvectors[:, w - w[0] < GROUND_DEGENERACY_TOL]
-        if state.Z != v.shape[1]:
+        state, dense = ground_state_mixture(p), _numeric_state(p, math.inf)
+        if state.Z != dense.Z:
             gaps.append(math.inf)
             break
-        gaps.append(float(np.max(np.abs(state.rho - (v @ v.conj().T) / state.Z))))
+        gaps.append(float(np.max(np.abs(state.rho - dense.rho))))
     return [_verdict("ground_mixture_closed_form_vs_jacobi", gaps, 1e-12,
                      f"{len(points)} points, incl. r = 0 and the fig4c crossings")]
 
@@ -205,8 +205,8 @@ def check_invariants(n_draws=50, seed=20240906):
         # one draw at a time: rng.random() below decides whether rng.uniform follows
         ((p, t),) = _draws(rng, 1, (0.05, 2.0))
         q = _same_invariants(p, -1.0 if rng.random() < 0.5 else float(rng.uniform(1.0, 3.0)))
-        z_p, _, n_p = thermal_point(p, t)
-        z_q, _, n_q = thermal_point(q, t)
+        z_p, _, n_p, _ = thermal_point(p, t)
+        z_q, _, n_q, _ = thermal_point(q, t)
         dense = [negativity(gibbs_numeric(x, t).rho) for x in (p, q)]
         gaps_n += [abs(n_p - n_q), abs(dense[0] - dense[1])]
         gaps_z.append(abs(z_p - z_q) / z_p)

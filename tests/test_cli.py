@@ -640,3 +640,38 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
                               capture_output=True, text=True, timeout=120)
         assert got == (proc.returncode, proc.stdout, proc.stderr, written()), argv
     assert [got[0] for got in in_process] == [0, 0, 0, 0, 2, 2, 2, 2, 0, 3, 0, 2, 0, 0, 0, 0, 0]
+
+
+_SWEEP = ["sweep", "--vary", "B", "--from", "0", "--to", "1", "--steps", "2"]
+
+
+@pytest.mark.parametrize("argv, failing", [
+    (["negativity", "--R", "1", "--out", "missing/point.csv"], "missing/point.csv"),
+    (_SWEEP + ["--out", "missing/sweep.csv"], "missing/sweep.csv"),
+    (_SWEEP + ["--svg", "missing/sweep.svg"], "missing/sweep.svg"),
+    (_SWEEP + ["--out", "sweep.csv"], "sweep.csv.meta.json"),
+], ids=["point-out", "sweep-out", "sweep-svg", "meta-json"])
+def test_a_failed_write_names_its_own_file(argv, failing, tmp_path, monkeypatch, capsys):
+    # "missing" is no directory; a directory squats on the companion meta file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.csv.meta.json").mkdir()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: failed writing {failing}: [Errno ")
+
+
+def _polyline_points(svg_text):
+    return [tuple(map(float, xy.split(",")))
+            for pts in re.findall(r'<polyline points="([^"]*)"', svg_text)
+            for xy in pts.split()]
+
+
+def test_svg_of_a_flat_curve_has_finite_coordinates(tmp_path, capsys):
+    # r = 0 makes every state separable: N = 0 on every row, a flat y range
+    svg = tmp_path / "flat.svg"
+    assert main(_SWEEP + ["--J", "0", "--Dz", "0", "--svg", str(svg)]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert {dict(zip(header.split(","), line.split(",")))["negativity"]
+            for line in lines} == {"0.0"}
+    points = _polyline_points(svg.read_text())
+    assert len(points) == 2 and all(map(math.isfinite, sum(points, ())))
+    assert len({y for _, y in points}) == 1

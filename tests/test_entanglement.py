@@ -178,6 +178,8 @@ def test_negativity_rejects_invalid_states():
     nh[0, 1] = 1e-3
     with pytest.raises(InvalidState):
         negativity(nh)  # not Hermitian
+    with pytest.raises(InvalidState, match="expected a 9x9 density matrix"):
+        negativity(np.eye(3, dtype=complex) / 3)  # a valid qutrit state, not a pair
 
 
 def test_negativity_rejects_asymmetry_above_the_kernel_gate():
@@ -228,6 +230,12 @@ def test_oracle_rejects_non_permutation_support():
     c[[0, 1]] = 1 / np.sqrt(2)  # |-1,-1> and |-1,0> share the first-site label
     with pytest.raises(UnsupportedStructure):
         pure_state_negativity_oracle(c)
+
+
+def test_oracle_rejects_a_wrong_number_of_coefficients():
+    # normalized, so only the shape gate can fail
+    with pytest.raises(UnsupportedStructure, match="expected 9 coefficients"):
+        pure_state_negativity_oracle(np.ones(3) / np.sqrt(3))
 
 
 def test_oracle_rejects_unnormalized():

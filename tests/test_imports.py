@@ -34,9 +34,9 @@ def test_import_loads_no_numpy():
 def test_partition_functions_load_no_numpy():
     # Z and ln Z are scalar reads of the float levels, at r > 0 and at r = 0
     probe = "\n".join([
-        "from qutritxxz import ModelParams, log_partition_function, partition_function",
+        "from qutritxxz import ModelParams, partition_function, thermal_point",
         "for p in (ModelParams(R=0.5, Dz=1.0, B=0.3), ModelParams(Dz=0.0, j_override=0.0)):",
-        "    print(partition_function(p, 0.5), log_partition_function(p, 0.0))",
+        "    print(partition_function(p, 0.5), thermal_point(p, 0.0)[3])",
     ])
     code, out, imported = run_fresh(["-c", probe])
     assert code == 0 and len(out.splitlines()) == 2

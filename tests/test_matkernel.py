@@ -38,6 +38,11 @@ def test_nonfinite_rejected():
         mk.asmatrix(np.array([[np.nan, 0], [0, 1]]))
 
 
+def test_asmatrix_rejects_a_non_2d_array():
+    with pytest.raises(ValueError, match="expected a 2-d array"):
+        mk.asmatrix(np.ones(9))
+
+
 @pytest.mark.parametrize("z", [complex(1, np.inf), complex(np.nan, 0), complex(0, np.nan)],
                          ids=["imag-inf", "real-nan", "imag-nan"])
 @pytest.mark.parametrize("route", [mk.asmatrix, mk.eigvalsh], ids=["asmatrix", "eigvalsh"])

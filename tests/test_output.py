@@ -1,11 +1,19 @@
 import math
 import os
+import re
 import threading
 
 import numpy as np
 
-from qutritxxz.output import _fmt, csv_text, write_text
-from qutritxxz.sweeps import CSV_COLUMNS, FIGURE_NAMES, figure_preset
+from qutritxxz.output import _fmt, csv_text, emit_svg, write_text
+from qutritxxz.sweeps import (
+    CSV_COLUMNS,
+    FIGURE_NAMES,
+    SweepResult,
+    SweepSpec,
+    figure_preset,
+    run_sweep,
+)
 
 
 def test_shorter_rewrite_leaves_no_stale_tail(tmp_path):
@@ -67,3 +75,13 @@ def test_csv_cells_never_alias():
     text = csv_text(rows)
     assert text == "\n".join(expected) + "\n"
     assert text.splitlines()[1] == "True,1,1.0,0.0,0.0,nan,inf,1e-300,0.0,2.5,1.0,1,True"
+
+
+def test_svg_of_a_single_row_has_finite_coordinates(tmp_path):
+    # one row: both the x and the y range are flat
+    res = run_sweep(SweepSpec("B", 0.0, 1.0, 2))
+    path = tmp_path / "one.svg"
+    emit_svg(SweepResult(rows=res.rows[:1], meta=res.meta), path)
+    (points,) = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+    x, y = map(float, points.split(","))
+    assert math.isfinite(x) and math.isfinite(y)

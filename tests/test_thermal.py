@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
@@ -23,8 +24,8 @@ from qutritxxz.thermal import (
     gibbs_numeric,
     ground_state_mixture,
     inverse_temperature,
+    _numeric_state,
     level_values,
-    log_partition_function,
     partition_function,
     thermal_point,
 )
@@ -61,6 +62,14 @@ def test_partition_function_domain():
 def test_nan_temperature_rejected(route):
     with pytest.raises(DomainError):
         route(P_REF, float("nan"))
+
+
+@pytest.mark.parametrize("route", [gibbs, gibbs_analytic, gibbs_numeric])
+def test_state_routes_reject_zero_temperature(route):
+    # T = 0 is ground_state_mixture's, and the dense route's only through
+    # _numeric_state at beta = inf
+    with pytest.raises(DomainError, match="must be positive"):
+        route(P_REF, 0.0)
 
 
 def test_infinite_temperature_is_maximally_mixed():
@@ -152,7 +161,7 @@ def test_state_is_finite_where_chi_is_huge(gamma):
             assert np.all(np.isfinite(state.rho))
             assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-15)
         assert partition_function(p, math.inf) == 9.0
-        assert log_partition_function(p, 0.0) == math.log(2.0)
+        assert thermal_point(p, 0.0)[3] == math.log(2.0)
 
 
 def _decimal_jacobi(a):
@@ -310,18 +319,37 @@ def test_ground_energy_is_the_lowest_level(rng):
 
 def _dense_point(p, T):
     """(Z, ground energy, negativity) by the dense route: the Jacobi
-    eigendecomposition of the tensor Hamiltonian (its ground-level projector
-    at T = 0) and dense Jacobi on the whole partial transpose."""
-    dec = hermitian_eig(hamiltonian_tensor(p))
-    w, v = dec.eigenvalues, dec.eigenvectors
-    if T == 0.0:
+    eigendecomposition of the tensor Hamiltonian (_numeric_state, its
+    ground-level mixture at T = 0) and dense Jacobi on the whole partial
+    transpose."""
+    state = _numeric_state(p, inverse_temperature(T, allow_zero=True))
+    pt = hermitian_eig(partial_transpose(state.rho)).eigenvalues
+    ground_energy = float(hermitian_eig(hamiltonian_tensor(p)).eigenvalues[0])
+    return state.Z, ground_energy, float(-pt[pt < -NEGATIVE_EIG_TOL].sum())
+
+
+def test_dense_state_at_beta_inf_is_the_jacobi_ground_projector(rng):
+    # the projector on the Jacobi ground level over its degeneracy, built by
+    # hand: at random draws, at r = 0, at r = B = 0 (all nine levels tied)
+    # and at the two fig4c crossings, where two levels are tied
+    p1 = ModelParams(R=1.0, gamma=1.0, Dz=1.0)
+    gj, r = p1.gamma * p1.J, p1.r
+    points = [ModelParams(Dz=0.0, j_override=0.0),
+              replace(p1, B=(gj + math.sqrt(gj * gj + 8 * r * r)) / 2 - r),
+              replace(p1, B=gj + r)]
+    for _ in range(20):
+        p = random_params(rng)
+        points += [p, replace(p, Dz=0.0, j_override=0.0)]
+    degeneracies = set()
+    for p in points:
+        dec = hermitian_eig(hamiltonian_tensor(p))
+        w, v = dec.eigenvalues, dec.eigenvectors
         g = v[:, w - w[0] < GROUND_DEGENERACY_TOL]
-        z, rho = float(g.shape[1]), (g @ g.conj().T) / g.shape[1]
-    else:
-        state = gibbs_numeric(p, T)
-        z, rho = state.Z, state.rho
-    pt = hermitian_eig(partial_transpose(rho)).eigenvalues
-    return z, float(w[0]), float(-pt[pt < -NEGATIVE_EIG_TOL].sum())
+        state = _numeric_state(p, math.inf)
+        assert state.Z == g.shape[1]
+        assert np.max(np.abs(state.rho - (g @ g.conj().T) / g.shape[1])) < 1e-14
+        degeneracies.add(g.shape[1])
+    assert {1, 2, 9} <= degeneracies
 
 
 point_strategy = st.tuples(
@@ -351,7 +379,7 @@ def test_thermal_point_matches_dense_route(draw):
         T = 10.0 ** -e
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z, ground_energy, n = thermal_point(p, T)
+        z, ground_energy, n, _ = thermal_point(p, T)
     z_ref, ground_ref, n_ref = _dense_point(p, T)
     assert n == pytest.approx(n_ref, abs=1e-12)
     assert z == pytest.approx(z_ref, rel=1e-12)
@@ -369,7 +397,7 @@ def test_thermal_point_z_and_ground_energy_are_those_of_the_state_routes(rng):
         t = float(rng.uniform(0.01, 5.0))
         for T, state in ((t, gibbs(p, t)), (math.inf, gibbs(p, math.inf)),
                          (0.0, ground_state_mixture(p))):
-            z, ground_energy, n = thermal_point(p, T)
+            z, ground_energy, n, _ = thermal_point(p, T)
             assert (z, ground_energy) == (state.Z, min(level_values(p)))
             assert n == pytest.approx(negativity(state.rho), abs=1e-14)
             if T > 0.0:
@@ -382,7 +410,7 @@ def test_ln_z_is_the_log_of_z(rng):
         if i % 5 == 0:
             p = ModelParams(gamma=p.gamma, Dz=0.0, B=p.B, j_override=0.0)
         for T in (float(rng.uniform(0.01, 5.0)), 10.0 ** rng.uniform(-4.0, 9.0)):
-            z, ln_z = thermal_point(p, T)[0], log_partition_function(p, T)
+            z, _, _, ln_z = thermal_point(p, T)
             assert math.isfinite(ln_z)
             if math.isfinite(z):
                 # exp(ln_z) can hit Z no closer than the spacing of the
@@ -390,16 +418,16 @@ def test_ln_z_is_the_log_of_z(rng):
                 tol = max(1e-14, abs(ln_z) * 2.0 ** -52)
                 assert abs(math.exp(ln_z) - z) <= tol * z
         # T = 0: the log of the ground-level degeneracy that Z reports
-        assert log_partition_function(p, 0.0) == math.log(thermal_point(p, 0.0)[0])
-        assert log_partition_function(p, math.inf) == math.log(9.0)
+        z, _, _, ln_z = thermal_point(p, 0.0)
+        assert ln_z == math.log(z)
+        assert thermal_point(p, math.inf)[3] == math.log(9.0)
 
 
 def test_ln_z_where_z_overflows():
     p = ModelParams(R=0.5, Dz=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z, ground_energy, _ = thermal_point(p, 1e-5)
-        ln_z = log_partition_function(p, 1e-5)
+        z, ground_energy, _, ln_z = thermal_point(p, 1e-5)
     assert z == math.inf and math.isfinite(ln_z)
     assert ln_z == pytest.approx(-ground_energy / 1e-5, rel=1e-15)
 
@@ -430,8 +458,8 @@ def test_temperature_with_overflowing_reciprocal_rejected(route, T):
             gibbs(ModelParams(Dz=0.0, j_override=0.0), T)
     # a tiny T whose reciprocal is finite still works: Z overflows to inf,
     # and the state is the ground-state limit
-    z, *rest = thermal_point(P_REF, 1e-300)
-    assert z == float("inf") and rest == list(thermal_point(P_REF, 0.0)[1:])
+    z, *rest, _ = thermal_point(P_REF, 1e-300)
+    assert z == float("inf") and rest == list(thermal_point(P_REF, 0.0)[1:3])
 
 
 def test_tiny_temperature_weights_underflow_without_warnings():
@@ -440,7 +468,7 @@ def test_tiny_temperature_weights_underflow_without_warnings():
     p, T = ModelParams(R=0.5, gamma=1.0, Dz=1.0, B=30.0), 1e-307
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z, ground_energy, n = thermal_point(p, T)
+        z, ground_energy, n, _ = thermal_point(p, T)
         states = [gibbs(p, T), gibbs_numeric(p, T)]
     ground = ground_state_mixture(p)
     assert (z, ground_energy, n) == (float("inf"), min(level_values(p)), 0.0)
@@ -459,7 +487,7 @@ def test_infinite_temperature_with_overflowing_level_spread(p):
     assert all(math.isfinite(e) for e in eps) and max(eps) - min(eps) == math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z, ground_energy, n = thermal_point(p, math.inf)
+        z, ground_energy, n, _ = thermal_point(p, math.inf)
         state = gibbs(p, math.inf)
     assert (z, ground_energy, n) == (9.0, min(eps), 0.0)
     assert state.Z == 9.0

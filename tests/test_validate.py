@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qutritxxz.matkernel import EigenDecomposition, eigvalsh
+from qutritxxz.matkernel import eigvalsh
 from qutritxxz.model import (
     ModelParams,
     analytic_spectrum,
@@ -35,6 +35,11 @@ def _nan_field(name):
     return spoil
 
 
+def _nan_item(i):
+    """A thermal_point tuple (Z, ground energy, N, ln Z) with item i NaN."""
+    return lambda point: point[:i] + (NAN,) + point[i + 1:]
+
+
 CASES = [
     # (check, its kwargs, check name, name patched, how its result is spoiled)
     (V.check_spectrum, {"n_draws": 3}, "spectrum_analytic_vs_numeric", "eigvalsh",
@@ -50,26 +55,26 @@ CASES = [
     (V.check_gibbs_routes, {"n_draws": 3}, "gibbs_analytic_vs_numeric", "gibbs_numeric",
      _nan_field("rho")),
     (V.check_ground_mixture, {"n_draws": 2}, "ground_mixture_closed_form_vs_jacobi",
-     "hermitian_eig", lambda d: EigenDecomposition(d.eigenvalues, d.eigenvectors * NAN)),
+     "_numeric_state", _nan_field("rho")),
     (V.check_symmetries, {"n_draws": 3}, "negativity_even_in_Dz", "negativity",
      lambda n: NAN),
     (V.check_symmetries, {"n_draws": 3}, "negativity_even_in_B", "negativity",
      lambda n: NAN),
     (V.check_invariants, {"n_draws": 3}, "negativity_invariant_in_gammaJ_r", "thermal_point",
-     lambda zen: (zen[0], zen[1], NAN)),
+     _nan_item(2)),
     (V.check_invariants, {"n_draws": 3}, "partition_function_invariant_in_gammaJ_r",
-     "thermal_point", lambda zen: (NAN, zen[1], zen[2])),
+     "thermal_point", _nan_item(0)),
     (V.check_oracle, {}, "pure_state_oracle_vs_pt_pipeline", "pure_state_negativity_oracle",
      lambda n: NAN),
     (V.check_negativity_routes, {"n_draws": 2}, "negativity_closed_form_vs_dense",
-     "thermal_point", lambda zen: (zen[0], zen[1], NAN)),
+     "thermal_point", _nan_item(2)),
     # its dense side
     (V.check_negativity_routes, {"n_draws": 2}, "negativity_closed_form_vs_dense",
      "negativity", lambda n: NAN),
     (V.check_critical_field, {}, "critical_field_vs_closed_form", "detect_critical_field",
      lambda cps: [replace(cp, value=NAN) for cp in cps]),
     (V.check_headline, {}, "headline_scalar_routes", "thermal_point",
-     lambda zen: (zen[0], zen[1], NAN)),
+     _nan_item(2)),
     # its own sign rule, not _verdict, but its worst margin keeps a NaN too
     (V.check_critical_dz, {"n_draws": 1}, "critical_dz_bracket_vs_dense", "negativity",
      lambda n: NAN),
@@ -171,3 +176,18 @@ def test_stacked_residuals_match_the_per_draw_loop(monkeypatch, check, per_draw,
     assert all(c.passed for c in checks)
     if n_draws == 0:
         assert [c.worst_residual for c in checks] == [0.0] * len(checks)
+
+
+@pytest.mark.parametrize("check, kwargs, name, patched, spoil", [
+    (V.check_critical_field, {}, "critical_field_vs_closed_form", "detect_critical_field",
+     lambda cps: cps[:-1]),
+    (V.check_ground_mixture, {"n_draws": 2}, "ground_mixture_closed_form_vs_jacobi",
+     "ground_state_mixture", lambda state: replace(state, Z=state.Z + 1.0)),
+], ids=["critical_field-drops-a-crossing", "ground_mixture-wrong-degeneracy"])
+def test_a_count_mismatch_fails_its_check_with_worst_inf(monkeypatch, check, kwargs, name,
+                                                         patched, spoil):
+    route = getattr(V, patched)
+    monkeypatch.setattr(V, patched, lambda *a, **k: spoil(route(*a, **k)))
+    (result,) = check(**kwargs)
+    assert result.name == name and result.passed is False
+    assert result.worst_residual == math.inf
