@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -224,18 +223,16 @@ def closed_form_levels(gj: float, b: float, r: float) -> tuple:
     """The nine levels eps1..eps9 as floats for gamma*J = gj, field b and
     r > 0.  The mixed pair has eps8 - eps9 = root = sqrt(gj^2 + 8 r^2) and
     eps8 + eps9 = -gj; the one of them that cancels, (root - |gj|) / 2, is
-    4 r (r / (root + |gj|)) (Higham, Accuracy and Stability, 1.8).
-    OverflowError when gj^2 + 8 r^2 overflows (|gj| or r above about
-    4.7e153) or gj +- 2b does.  A subnormal gj^2 + 8 r^2 has lost digits:
-    hypot takes the root."""
-    sq = gj * gj + 8.0 * r * r
-    root = math.sqrt(sq) if sq >= sys.float_info.min else math.hypot(gj, math.sqrt(8.0) * r)
+    2r (2r / (root + |gj|)) (Higham, Accuracy and Stability, 1.8).  root is
+    hypot(gj, 2r, 2r), which squares nothing.  OverflowError when root + |gj|
+    (|gj| above about 9e307 or r above about 6e307) or gj +- 2b overflows."""
+    root = math.hypot(gj, 2.0 * r, 2.0 * r)
     s = root + abs(gj)
     top, bottom = gj + 2 * b, gj - 2 * b
     if math.isinf(s) or math.isinf(top) or math.isinf(bottom):
         raise OverflowError(f"closed-form levels overflow at gamma*J = {gj:.3e}, "
                             f"r = {r:.3e}, B = {b:.3e}")
-    far, near = 0.5 * s, 4.0 * r * (r / s)
+    far, near = 0.5 * s, 2.0 * r * (2.0 * r / s)
     eps8, eps9 = (near, -far) if gj >= 0 else (far, -near)
     return (b + r, b - r, top, bottom, -gj, -b + r, -b - r, eps8, eps9)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 from . import __version__
-from .model import SIGN_CONVENTION_NOTE, ModelParams
+from .model import SIGN_CONVENTION_NOTE, DomainError, ModelParams
 from .thermal import (
     GROUND_DEGENERACY_TOL,
     inverse_temperature,
@@ -70,25 +70,25 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.vary not in ("T", "B", "Dz", "R"):
-            raise ValueError(f"vary must be one of T, B, Dz, R; got {self.vary!r}")
+            raise DomainError(f"vary must be one of T, B, Dz, R; got {self.vary!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError(f"sweep range must be finite, got [{self.start}, {self.stop}]")
+            raise DomainError(f"sweep range must be finite, got [{self.start}, {self.stop}]")
         if not self.start < self.stop:
-            raise ValueError(f"need start < stop, got [{self.start}, {self.stop}]")
+            raise DomainError(f"need start < stop, got [{self.start}, {self.stop}]")
         if self.steps < 2:
-            raise ValueError(f"need at least 2 steps, got {self.steps}")
+            raise DomainError(f"need at least 2 steps, got {self.steps}")
         grid = self.grid()
         # x * 1e10 in grid() overflows above about 1.8e298
         if not all(map(math.isfinite, grid)):
-            raise ValueError(f"grid values overflow when rounded to 10 decimals: "
-                             f"{self.steps} steps on [{self.start}, {self.stop}]")
+            raise DomainError(f"grid values overflow when rounded to 10 decimals: "
+                              f"{self.steps} steps on [{self.start}, {self.stop}]")
         if not all(a < b for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"grid values collide after rounding to 10 decimals: "
-                             f"{self.steps} steps on [{self.start}, {self.stop}]")
+            raise DomainError(f"grid values collide after rounding to 10 decimals: "
+                              f"{self.steps} steps on [{self.start}, {self.stop}]")
         # T = 0 would silently switch a point to the ground-state mixture
         if self.vary == "T" and not grid[0] > 0:
-            raise ValueError(f"temperature grid must start at T > 0 after rounding to "
-                             f"10 decimals, got start {self.start}")
+            raise DomainError(f"temperature grid must start at T > 0 after rounding to "
+                              f"10 decimals, got start {self.start}")
         if self.vary != "T":
             inverse_temperature(self.T, allow_zero=True)
 
@@ -166,7 +166,7 @@ def run_sweep(spec: SweepSpec, label: Optional[str] = None) -> SweepResult:
 def _check_limit(name: str, value: float):
     """A scan limit or threshold must be finite (NaN ends a scan at once or never) and >= 0."""
     if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        raise DomainError(f"{name} must be finite and non-negative, got {value}")
 
 
 def detect_critical_field(p: ModelParams, b_max: float = _B_MAX) -> list:
@@ -175,13 +175,16 @@ def detect_critical_field(p: ModelParams, b_max: float = _B_MAX) -> list:
     A crossing is any change of the ground-level identity; each one shows
     up as a jump in the zero-temperature entanglement plateaus.  The levels
     are lines c_i + s_i B (slopes 0, +-1, +-2), so the crossings are the
-    breakpoints of their lower envelope.  Lines within GROUND_DEGENERACY_TOL
-    are tied, as in ground_state_mixture: levels meeting at one field are
-    one crossing, and a B = 0 degeneracy the field lifts is one at 0.0.
+    breakpoints of their lower envelope.  The slopes are read at B = 0 and
+    at B = max(1, max |c_i| / 4), where rounding loses no field and no
+    level overflows.  Lines within GROUND_DEGENERACY_TOL are tied,
+    as in ground_state_mixture: levels meeting at one field are one
+    crossing, and a B = 0 degeneracy the field lifts is one at 0.0.
     """
     _check_limit("b_max", b_max)
     c = level_values(p._with("B", 0.0))
-    s = [round(e - e0) for e0, e in zip(c, level_values(p._with("B", 1.0)))]
+    probe = max(1.0, 0.25 * max(map(abs, c)))
+    s = [round((e - e0) / probe) for e0, e in zip(c, level_values(p._with("B", probe)))]
     b, e = 0.0, c
     c_min = min(c)
     tied = [i for i in range(9) if c[i] - c_min < GROUND_DEGENERACY_TOL]

@@ -444,9 +444,11 @@ def test_huge_r_has_zero_coupling(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    # the dense cross-check of spectrum overflows, the levels do not
     ["spectrum", "--J", "1e200", "--Dz", "1"],
-    ["negativity", "--J", "1e200", "--Dz", "1", "--T", "0"],
-    ["critical", "--axis", "B", "--J", "1", "--Dz", "1e200"],
+    # r = sqrt(2) 1e308: the mixed pair overflows
+    ["negativity", "--J", "1e308", "--Dz", "1e308", "--T", "0"],
+    ["critical", "--axis", "B", "--J", "1e308", "--Dz", "1e308"],
     # the levels gamma*J +- 2B overflow, at r > 0 and at r = 0
     ["negativity", "--R", "0.5", "--Dz", "1", "--B", "1e308", "--T", "1"],
     ["negativity", "--J", "0", "--Dz", "0", "--B", "1e308", "--T", "1"],
@@ -461,6 +463,18 @@ def test_overflow_exits_3(argv, capsys):
         warnings.simplefilter("error")
         assert main(argv) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_huge_coupling_at_the_r_equals_gamma_j_landmark(capsys):
+    # r = gamma J = 1e200 is J = 1, Dz = 1e-200 scaled by 1e200: the ground
+    # level eps9 = -2 gamma J alone, with N = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["negativity", "--J", "1e200", "--Dz", "1", "--T", "0",
+                     "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["negativity"], payload["Z"]) == (1.0, 1.0)
+    assert payload["ground_energy"] == -2e200
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
 import math
+import random
 from dataclasses import FrozenInstanceError, fields, replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -74,11 +76,17 @@ def test_hf_coupling_is_zero_once_the_decay_underflows():
 
 
 def test_closed_form_levels_overflow_raises():
+    # J = Dz = 1e308: r = sqrt(2) 1e308, and the mixed pair overflows
     with pytest.raises(OverflowError):
-        closed_form_levels(1e200, 0.0, 1e200)
+        closed_form_levels(1e308, 0.0, math.hypot(1e308, 1e308))
     with pytest.raises(OverflowError):
         closed_form_levels(math.inf, 0.0, 1e200)
-    assert all(math.isfinite(x) for x in closed_form_levels(1e150, 0.0, 1e150))
+    for gj, r in ((1e150, 1e150), (1e200, 1e200), (-1e300, 1.0), (8.9e307, 1.0),
+                  (-8.9e307, 1.0), (1.0, 6e307)):
+        assert all(math.isfinite(x) for x in closed_form_levels(gj, 0.0, r))
+    for gj, r in ((9e307, 1.0), (1.0, 6.5e307), (1e307, 6e307)):
+        with pytest.raises(OverflowError):
+            closed_form_levels(gj, 0.0, r)
     # the product-state levels gamma*J +- 2B, with and without coupling
     for b in (1e308, -1e308):
         with pytest.raises(OverflowError):
@@ -87,6 +95,30 @@ def test_closed_form_levels_overflow_raises():
             diagonal_levels(0.0, b)
     assert math.isfinite(closed_form_levels(0.1, 8.9e307, 1.0)[2])
     assert diagonal_levels(0.0, 8.9e307)[0] == 1.78e308
+
+
+def test_closed_form_root_is_correctly_rounded(monkeypatch):
+    # the root sqrt(gj^2 + 8 r^2) of the mixed pair is one math.hypot call;
+    # it lies within 0.5 ulp of a 60-digit decimal root
+    calls, math_hypot = [], math.hypot
+
+    def hypot(*args):
+        calls.append((args, math_hypot(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(model.math, "hypot", hypot)
+    rng = random.Random(20221001)
+    for _ in range(2000):
+        gj = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.7)
+        r = 10.0 ** rng.uniform(-3.0, 3.7)
+        calls.clear()
+        closed_form_levels(gj, 0.0, r)
+        [(args, root)] = calls
+        assert args == (gj, 2.0 * r, 2.0 * r)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = (Decimal(gj) ** 2 + 8 * Decimal(r) ** 2).sqrt()
+            assert abs(Decimal(root) - exact) <= Decimal(math.ulp(root)) / 2
 
 
 def test_hf_coupling_domain():

@@ -258,6 +258,36 @@ def test_critical_field_takes_two_spectra(monkeypatch):
     assert calls == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("scale", [1e16, 1e17, 1e200])
+def test_critical_field_is_invariant_under_scaling(scale, rng):
+    # the levels pass 1e16, where a probe field of 1 would be lost to rounding
+    for _ in range(100):
+        p = random_params(rng)
+        found = [cp.value for cp in detect_critical_field(p, b_max=10.0)]
+        q = ModelParams(gamma=p.gamma, Dz=scale * p.Dz, j_override=scale * p.J)
+        scaled = [cp.value / scale for cp in detect_critical_field(q, b_max=10.0 * scale)]
+        assert scaled == pytest.approx(found, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SweepSpec(vary="X", start=0, stop=1, steps=10),
+    lambda: SweepSpec(vary="B", start=0, stop=math.inf, steps=10),
+    lambda: SweepSpec(vary="B", start=1, stop=0, steps=10),
+    lambda: SweepSpec(vary="B", start=0, stop=1, steps=1),
+    lambda: SweepSpec(vary="B", start=0, stop=1e300, steps=3),
+    lambda: SweepSpec(vary="B", start=0, stop=1e-11, steps=3),
+    lambda: SweepSpec(vary="T", start=1e-12, stop=1, steps=10),
+    lambda: SweepSpec(vary="B", start=0, stop=1, steps=10, T=-1.0),
+    lambda: detect_critical_field(ModelParams(R=1.0, Dz=1.0), b_max=math.nan),
+    lambda: detect_critical_dz(ModelParams(R=0.3, B=0.5), T=0.08, dz_max=-1.0),
+    lambda: detect_critical_dz(ModelParams(R=0.3, B=0.5), T=0.08, threshold=math.inf),
+], ids=["vary", "non-finite", "order", "steps", "grid-overflow", "grid-collide",
+        "T-grid", "T", "b_max", "dz_max", "threshold"])
+def test_bad_sweep_and_scan_input_raises_domain_error(make):
+    with pytest.raises(DomainError):
+        make()
+
+
 @pytest.mark.parametrize("b_max", [float("nan"), float("inf"), -1.0])
 def test_critical_field_rejects_non_finite_limit(b_max):
     with pytest.raises(ValueError, match="b_max must be finite"):

@@ -432,6 +432,27 @@ def test_ln_z_where_z_overflows():
     assert ln_z == pytest.approx(-ground_energy / 1e-5, rel=1e-15)
 
 
+def _scaled(p: ModelParams, scale: float) -> ModelParams:
+    return ModelParams(gamma=p.gamma, Dz=scale * p.Dz, B=scale * p.B, j_override=scale * p.J)
+
+
+@pytest.mark.parametrize("scale", [1e17, 1e200, 1e300])
+def test_thermal_point_is_invariant_under_scaling(scale, rng):
+    # N and Z depend on gamma J, r, B and T only through their ratios.  The
+    # scaled inputs are rounded, which moves beta times a level gap by about
+    # 1e-16 of itself, so T stays at or above 0.2 here
+    for _ in range(200):
+        p, T = random_params(rng), 10.0 ** rng.uniform(math.log10(0.2), 0.7)
+        _, _, n, ln_z = thermal_point(p, T)
+        _, _, n_scaled, ln_z_scaled = thermal_point(_scaled(p, scale), scale * T)
+        assert abs(n_scaled - n) <= 1e-15
+        assert abs(ln_z_scaled - ln_z) <= 1e-15 * abs(ln_z)
+        # T = 0: the same ground level, with the same degeneracy
+        z, _, n, _ = thermal_point(p, 0.0)
+        z_scaled, _, n_scaled, _ = thermal_point(_scaled(p, scale), 0.0)
+        assert z_scaled == z and abs(n_scaled - n) <= 1e-15
+
+
 def test_thermal_point_at_r0_is_separable_positive_zero():
     for T in (0.0, 0.3, float("inf")):
         n = thermal_point(ModelParams(Dz=0.0, B=0.4, j_override=0.0), T)[2]
