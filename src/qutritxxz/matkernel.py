@@ -127,14 +127,15 @@ def _jacobi_block(off: list, diag: list, block: list, cols) -> None:
     # each pair with the other indices of the block, whose entries it rotates
     pairs = [(p, q, [k for k in block if k != p and k != q])
              for i, p in enumerate(block) for q in block[i + 1:]]
-    off2 = 2.0 * sum(abs(off[p][q]) ** 2 for p, q, _ in pairs)
-    norm = math.sqrt(sum(diag[i] * diag[i] for i in block) + off2)
+    # hypot squares nothing: each norm is finite wherever it fits in a float
+    mags = [abs(off[p][q]) for p, q, _ in pairs]
+    off_norm = math.hypot(*mags, *mags)      # both triangles
+    norm = math.hypot(off_norm, *(diag[i] for i in block))
     if not math.isfinite(norm):
         # an inf norm would pass the stop test at once and return the diagonal
         raise OverflowError(f"the Frobenius norm of the {n}x{n} block {block} overflows")
     target = max(JACOBI_RELTOL * norm, 1e-300)
     for _ in range(JACOBI_MAX_SWEEPS):
-        off_norm = math.sqrt(off2)
         if off_norm <= target:
             return
         # rotating entries much smaller than the target norm is wasted work
@@ -145,7 +146,7 @@ def _jacobi_block(off: list, diag: list, block: list, cols) -> None:
             if mag < thresh:
                 continue
             phase = apq / mag
-            tau = (diag[q] - diag[p]) / (2.0 * mag)
+            tau = (0.5 * diag[q] - 0.5 * diag[p]) / mag   # no gap or 2 mag to overflow
             if tau >= 0.0:
                 t = 1.0 / (tau + math.hypot(1.0, tau))
             else:
@@ -170,11 +171,12 @@ def _jacobi_block(off: list, diag: list, block: list, cols) -> None:
                     x, y = vp[i], vq[i]
                     vp[i] = c * x - sc * y
                     vq[i] = sp * x + c * y
-        off2 = 2.0 * sum(abs(off[p][q]) ** 2 for p, q, _ in pairs)
+        mags = [abs(off[p][q]) for p, q, _ in pairs]
+        off_norm = math.hypot(*mags, *mags)
     raise NoConvergence(
         f"Jacobi failed to converge in {JACOBI_MAX_SWEEPS} sweeps on the {n}x{n} block "
         f"{block} of a {len(off)}x{len(off)} matrix (off-diagonal norm "
-        f"{math.sqrt(off2):.3e}, target {target:.3e})"
+        f"{off_norm:.3e}, target {target:.3e})"
     )
 
 

@@ -17,10 +17,11 @@ works out again only those that the field changes; every other function
 of the package reads them from it (effective_coupling is a view of them).
 
 The levels themselves (diagonal_levels, closed_form_levels) are Python
-floats.  numpy is imported only by the functions that build a matrix, and
-the spin matrices SPIN_X, SPIN_Y, SPIN_Z, IDENTITY3 and the two-site
-operators of H are built by _operators on first use, so importing this
-module does not load numpy.
+floats.  B enters H only as B M, with M (Z_TOTAL) conserved, so each level
+is a line c + M B; BASIS_M and LEVEL_M hold the M of each level.  numpy is
+imported only by the functions that build a matrix, and the spin matrices
+and the two-site operators of H are built by _operators on first use, so
+importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _operators() -> dict:
     """The spin-1 matrices and the two-site operators of H, read-only, by
     name: J multiplies XX_PLUS_YY and gamma*J multiplies ZZ, Dz multiplies
     XY_MINUS_YX and B multiplies Z_TOTAL = Z(x)1 + 1(x)Z.  Built once, on
-    first use; the module attributes of the same names read them here."""
+    first use."""
     import numpy as np
 
     sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) * _S2
@@ -61,18 +62,6 @@ def _operators() -> dict:
     for a in ops.values():
         a.flags.writeable = False
     return ops
-
-
-_OPERATOR_NAMES = ("SPIN_X", "SPIN_Y", "SPIN_Z", "IDENTITY3",
-                   "XX_PLUS_YY", "ZZ", "XY_MINUS_YX", "Z_TOTAL")
-
-
-def __getattr__(name):
-    # PEP 562: model.SPIN_X ... model.Z_TOTAL, built on first access; any
-    # other missing name fails without building them (and loading numpy)
-    if name in _OPERATOR_NAMES:
-        return _operators()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 SIGN_CONVENTION_NOTE = (
@@ -207,6 +196,12 @@ class AnalyticSpectrum:
     vecs: np.ndarray
     chi1: float
     chi2: float
+
+
+#: M of each level, the slope of its line in B: in diagonal_levels order
+#: (the diagonal of Z_TOTAL) and in closed_form_levels order (eps1..eps9)
+BASIS_M = (2, 1, 0, 1, 0, -1, 0, -1, -2)
+LEVEL_M = (1, 1, 2, -2, 0, -1, -1, 0, 0)
 
 
 def diagonal_levels(gj: float, b: float) -> tuple:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 from . import __version__
-from .model import SIGN_CONVENTION_NOTE, DomainError, ModelParams
+from .model import BASIS_M, LEVEL_M, SIGN_CONVENTION_NOTE, DomainError, ModelParams
 from .thermal import (
     GROUND_DEGENERACY_TOL,
     inverse_temperature,
@@ -174,17 +174,16 @@ def detect_critical_field(p: ModelParams, b_max: float = _B_MAX) -> list:
 
     A crossing is any change of the ground-level identity; each one shows
     up as a jump in the zero-temperature entanglement plateaus.  The levels
-    are lines c_i + s_i B (slopes 0, +-1, +-2), so the crossings are the
-    breakpoints of their lower envelope.  The slopes are read at B = 0 and
-    at B = max(1, max |c_i| / 4), where rounding loses no field and no
-    level overflows.  Lines within GROUND_DEGENERACY_TOL are tied,
+    are lines c_i + s_i B, with c_i the levels at B = 0 and s_i their M
+    (BASIS_M at r = 0, LEVEL_M otherwise, the labelling level_values uses),
+    so the crossings are the breakpoints of their lower envelope, from one
+    level set.  Lines within GROUND_DEGENERACY_TOL are tied,
     as in ground_state_mixture: levels meeting at one field are one
     crossing, and a B = 0 degeneracy the field lifts is one at 0.0.
     """
     _check_limit("b_max", b_max)
     c = level_values(p._with("B", 0.0))
-    probe = max(1.0, 0.25 * max(map(abs, c)))
-    s = [round((e - e0) / probe) for e0, e in zip(c, level_values(p._with("B", probe)))]
+    s = BASIS_M if p.r == 0.0 else LEVEL_M
     b, e = 0.0, c
     c_min = min(c)
     tied = [i for i in range(9) if c[i] - c_min < GROUND_DEGENERACY_TOL]

@@ -103,13 +103,17 @@ def _weights(eps, beta: float):
 
 def _z_and_log_z(zs: float, beta: float, eps_min: float) -> tuple:
     """Z = zs * exp(-beta eps_min) and ln Z = ln zs - beta eps_min.  Z is
-    inf when the rescaling overflows (beta up to 1e6 must stay safe, the
-    shifted weights already are); ln Z stays finite.  At beta = inf, zs
-    itself and its log: the ground-level degeneracy."""
+    inf only past the float maximum (exp overflows from -beta eps_min of
+    about 709.78); ln Z stays finite.  At beta = inf, zs itself and its
+    log: the ground-level degeneracy."""
     if beta == math.inf:
         return zs, math.log(zs)
     x = -beta * eps_min
-    return zs * math.exp(x) if x < 700.0 else math.inf, math.log(zs) + x
+    try:
+        z = zs * math.exp(x)
+    except OverflowError:
+        z = math.inf
+    return z, math.log(zs) + x
 
 
 def partition_function(p: ModelParams, T: float) -> float:

@@ -444,9 +444,8 @@ def test_huge_r_has_zero_coupling(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # the dense cross-check of spectrum overflows, the levels do not
-    ["spectrum", "--J", "1e200", "--Dz", "1"],
     # r = sqrt(2) 1e308: the mixed pair overflows
+    ["spectrum", "--J", "1e308", "--Dz", "1e308"],
     ["negativity", "--J", "1e308", "--Dz", "1e308", "--T", "0"],
     ["critical", "--axis", "B", "--J", "1e308", "--Dz", "1e308"],
     # the levels gamma*J +- 2B overflow, at r > 0 and at r = 0
@@ -475,6 +474,16 @@ def test_huge_coupling_at_the_r_equals_gamma_j_landmark(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert (payload["negativity"], payload["Z"]) == (1.0, 1.0)
     assert payload["ground_energy"] == -2e200
+
+
+def test_spectrum_at_huge_coupling(capsys):
+    # the dense cross-check squares nothing, so it holds where the levels do
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", "--J", "1e200", "--Dz", "1", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["eigenvalues"]["eps9"] == -2e200
+    assert payload["max_gap_vs_numeric"] <= 1e-15 * 2e200
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qutritxxz import matkernel as mk
 from qutritxxz.entanglement import partial_transpose
-from qutritxxz.model import SPIN_Z, hamiltonian_tensor
+from qutritxxz.model import _operators, hamiltonian_tensor
 from qutritxxz.thermal import gibbs_numeric
 
 from conftest import haar_unitary, random_hermitian, random_params
@@ -17,7 +17,8 @@ def test_kron_identity():
 def test_kron_spin_z():
     # hand multiplication of the diagonal spin-1 matrices
     expected = np.diag([1, 0, -1, 0, 0, 0, -1, 0, 1]).astype(complex)
-    assert np.array_equal(mk.kron(SPIN_Z, SPIN_Z), expected)
+    sz = _operators()["SPIN_Z"]
+    assert np.array_equal(mk.kron(sz, sz), expected)
 
 
 def test_kron_dimensions():
@@ -228,20 +229,46 @@ def test_eigvalsh_sweep_cap(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("a", [
-    [[0.0, 1e200], [1e200, 0.0]],
-    [[0.0, 1e154], [1e154, 0.0]],
-    [[1.2e154, 1e154], [1e154, 0.0]],
-    [[1e155, 1e140], [1e140, 0.0]],
-], ids=["entry-1e200", "off-diagonal-1e154", "both-1.2e154", "diagonal-1e155"])
+    [[0.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.0]],
+    [[0.0, 1.5e308], [1.5e308, 0.0]],
+    [[1.2e308, 1e308], [1e308, 0.0]],
+    [[1.5e308, 1e140], [1e140, 1.5e308]],
+], ids=["entry-1.5e308", "off-diagonal-1.5e308", "both-1.2e308", "diagonal-1.5e308"])
 def test_eigvalsh_overflow_raises(a):
-    # a squared entry, the sum of the squares or a squared diagonal entry
-    # overflows: an error, not a norm of inf that would pass the stop test at
-    # once and return the diagonal
+    # the modulus of an entry, the norm of the off-diagonal entries, of all
+    # of them or of the diagonal overflows: an error, not a norm of inf that
+    # would pass the stop test at once and return the diagonal
     a = np.array(a)
     with pytest.raises(OverflowError):
         mk.eigvalsh(a)
     with pytest.raises(OverflowError):
         mk.hermitian_eig(a)
+
+
+@pytest.mark.parametrize("a", [
+    [[1e308, 1e307], [1e307, -1e308]],
+    [[1e307, 1e308], [1e308, -1e307]],
+], ids=["diagonal-gap", "twice-the-entry"])
+def test_eigvalsh_near_the_float_maximum(a):
+    # the norm is finite, but the diagonal gap or twice the entry is not
+    a = np.array(a)
+    expected = np.linalg.eigvalsh(a)
+    assert np.allclose(mk.eigvalsh(a), expected, rtol=1e-15, atol=0.0)
+    assert np.allclose(mk.hermitian_eig(a).eigenvalues, expected, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["random", "dense"])
+def test_eigen_routines_hold_at_large_scale(kind, rng):
+    # the norms square nothing, so a power-of-two scale up to where the
+    # entries near the float maximum scales every value and vector exactly
+    for _ in range(20):
+        a = _sector_matrix(rng, kind)
+        w, dec = mk.eigvalsh(a), mk.hermitian_eig(a)
+        for k in (520, 1000):
+            scaled = mk.hermitian_eig(a * 2.0 ** k)
+            assert np.array_equal(mk.eigvalsh(a * 2.0 ** k), w * 2.0 ** k)
+            assert np.array_equal(scaled.eigenvalues, dec.eigenvalues * 2.0 ** k)
+            assert np.array_equal(scaled.eigenvectors, dec.eigenvectors)
 
 
 def _quantum_number_sectors(key):

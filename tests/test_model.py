@@ -10,14 +10,8 @@ from hypothesis import given, settings, strategies as st
 from qutritxxz import model
 from qutritxxz.matkernel import hermitian_eig
 from qutritxxz.model import (
-    IDENTITY3,
-    SPIN_X,
-    SPIN_Y,
-    SPIN_Z,
-    XX_PLUS_YY,
-    XY_MINUS_YX,
-    Z_TOTAL,
-    ZZ,
+    BASIS_M,
+    LEVEL_M,
     DegenerateCoupling,
     DomainError,
     ModelParams,
@@ -31,6 +25,10 @@ from qutritxxz.model import (
 )
 
 from conftest import random_params
+
+OPS = model._operators()
+SPIN_X, SPIN_Y, SPIN_Z, IDENTITY3 = (OPS[k] for k in ("SPIN_X", "SPIN_Y", "SPIN_Z", "IDENTITY3"))
+TWO_SITE = ("XX_PLUS_YY", "ZZ", "XY_MINUS_YX", "Z_TOTAL")
 
 params_strategy = st.builds(
     ModelParams,
@@ -266,6 +264,26 @@ def test_zeeman_only_diagonal():
     assert np.array_equal(h, np.diag([2, 1, 0, 1, 0, -1, 0, -1, -2]).astype(complex))
 
 
+def test_m_tables_are_the_slopes_of_the_levels(rng):
+    # each level is the line c + M B: from B = 0 to B = 1 it rises by its M
+    assert np.array_equal(np.diag(OPS["Z_TOTAL"]).real, BASIS_M)
+    for _ in range(2000):
+        gj = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 5.0))
+        r = float(10.0 ** rng.uniform(-3.0, 5.0))
+        for m, levels in ((LEVEL_M, lambda b: closed_form_levels(gj, b, r)),
+                          (BASIS_M, lambda b: diagonal_levels(gj, b))):
+            at0, at1 = levels(0.0), levels(1.0)
+            assert max(map(abs, at0 + at1)) < 1e6
+            assert tuple(round(e1 - e0) for e0, e1 in zip(at0, at1)) == m
+
+
+def test_level_m_is_the_m_of_each_eigenvector(rng):
+    # Z_TOTAL v = M v for the labelled eigenvectors of analytic_spectrum
+    for _ in range(50):
+        vecs = analytic_spectrum(random_params(rng)).vecs
+        assert np.max(np.abs(OPS["Z_TOTAL"] @ vecs - vecs * np.array(LEVEL_M))) < 1e-14
+
+
 def test_tensor_matches_per_call_kron_assembly(rng):
     # the operators made once at import give the same bits as the products
     # assembled afresh in the same order
@@ -278,7 +296,7 @@ def test_tensor_matches_per_call_kron_assembly(rng):
         assert np.array_equal(hamiltonian_tensor(p), h)
 
 
-@pytest.mark.parametrize("op", [XX_PLUS_YY, ZZ, XY_MINUS_YX, Z_TOTAL])
+@pytest.mark.parametrize("op", [OPS[name] for name in TWO_SITE])
 def test_two_site_operators_are_read_only(op):
     assert op.shape == (9, 9) and not op.flags.writeable
     with pytest.raises(ValueError):
@@ -286,14 +304,11 @@ def test_two_site_operators_are_read_only(op):
 
 
 def test_operators_are_built_once():
-    # the module attributes are read from one cached build, read-only
-    for name in ("SPIN_X", "SPIN_Y", "SPIN_Z", "IDENTITY3",
-                 "XX_PLUS_YY", "ZZ", "XY_MINUS_YX", "Z_TOTAL"):
-        op = getattr(model, name)
-        assert getattr(model, name) is op and not op.flags.writeable
-    assert model.XX_PLUS_YY is XX_PLUS_YY
-    with pytest.raises(AttributeError):
-        model.NOT_AN_OPERATOR
+    # one cached build, every operator read-only, none of them a module attribute
+    assert model._operators() is OPS
+    for name in ("SPIN_X", "SPIN_Y", "SPIN_Z", "IDENTITY3") + TWO_SITE:
+        assert not OPS[name].flags.writeable
+        assert not hasattr(model, name)
 
 
 def test_top_left_entry():

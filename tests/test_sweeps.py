@@ -246,7 +246,8 @@ def test_critical_field_matches_closed_form(r):
     assert max(abs(a - b) for a, b in zip(found, expected)) < 1e-12
 
 
-def test_critical_field_takes_two_spectra(monkeypatch):
+def test_critical_field_takes_one_spectrum(monkeypatch):
+    # the levels at B = 0, with each level's M as its slope
     calls = []
 
     def counted(p):
@@ -254,8 +255,12 @@ def test_critical_field_takes_two_spectra(monkeypatch):
         return level_values(p)
 
     monkeypatch.setattr(sweeps, "level_values", counted)
-    assert len(detect_critical_field(ModelParams(R=1.0, Dz=1.0), b_max=2.0)) == 2
-    assert calls == [0.0, 1.0]
+    assert len(detect_critical_field(ModelParams(R=1.0, Dz=1.0, B=0.7), b_max=2.0)) == 2
+    assert calls == [0.0]
+    calls.clear()
+    # r = 0: the nine basis levels meet at B = 0, where the field splits them
+    assert [cp.value for cp in detect_critical_field(ModelParams(Dz=0.0, j_override=0.0))] == [0.0]
+    assert calls == [0.0]
 
 
 @pytest.mark.parametrize("scale", [1e16, 1e17, 1e200])

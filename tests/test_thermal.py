@@ -432,6 +432,20 @@ def test_ln_z_where_z_overflows():
     assert ln_z == pytest.approx(-ground_energy / 1e-5, rel=1e-15)
 
 
+@pytest.mark.parametrize("x", [700.5, 705.0, 709.7, 709.79, 750.0])
+def test_z_is_finite_wherever_it_fits_in_a_float(x):
+    # x = -beta eps_min; exp(x) passes the float maximum from x of about 709.78
+    p = ModelParams(R=0.5, Dz=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, _, _, ln_z = thermal_point(p, -min(level_values(p)) / x)
+    assert ln_z == pytest.approx(x, rel=1e-14)
+    if x < 709.78:
+        assert math.isfinite(z) and math.log(z) == pytest.approx(ln_z, rel=1e-15)
+    else:
+        assert z == math.inf
+
+
 def _scaled(p: ModelParams, scale: float) -> ModelParams:
     return ModelParams(gamma=p.gamma, Dz=scale * p.Dz, B=scale * p.B, j_override=scale * p.J)
 
