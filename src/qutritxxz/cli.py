@@ -13,7 +13,6 @@ shared parser, so callers must not mutate it.
 import argparse
 import functools
 import json
-from dataclasses import asdict
 import re
 import sys
 
@@ -258,7 +257,7 @@ def _cmd_critical(args):
     if args.axis == "B":
         if "threshold" in given:
             raise DomainError("--threshold is taken only with --axis Dz")
-        points = [asdict(cp) for cp in detect_critical_field(p, **given)]
+        points = [cp._asdict() for cp in detect_critical_field(p, **given)]
         _write(json_text(points), args.out)
         return EXIT_OK
     try:
@@ -266,7 +265,7 @@ def _cmd_critical(args):
     except NoOnset as exc:
         _write(json_text({"error": "NoOnset", "detail": str(exc)}), args.out)
         return EXIT_OK
-    _write(json_text(asdict(cp)), args.out)
+    _write(json_text(cp._asdict()), args.out)
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ alone hold the kernel to numpy's LAPACK eigvalsh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 HERMITICITY_ATOL = 1e-12
 #: target: off-diagonal Frobenius norm below this fraction of ||A||_F
@@ -57,12 +57,10 @@ def kron(a, b) -> np.ndarray:
     return np.kron(asmatrix(a), asmatrix(b))
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(namedtuple("EigenDecomposition", "eigenvalues eigenvectors")):
     """Eigenvalues sorted ascending; eigenvectors[:, k] belongs to eigenvalues[k]."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __slots__ = ()
 
 
 def _blocks(off: list) -> list:

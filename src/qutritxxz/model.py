@@ -12,9 +12,10 @@ H couples through r = sqrt(Dz^2 + J^2) and theta = atan2(Dz, J); its
 spectrum is known in closed form, and the mixing of |-1,1>, |0,0>, |1,-1>
 in levels 8 and 9 is fixed by those two levels (_mixed_pair), from which
 analytic_spectrum builds the labeled eigenvectors.  ModelParams works out
-J, r and theta once, on construction, and its one-field copy (_with)
-works out again only those that the field changes; every other function
-of the package reads them from it (effective_coupling is a view of them).
+J, r and theta once, in its one constructor, which its copies
+(ModelParams.replace) and the sweep rows also go through; every other
+function of the package reads them from it (effective_coupling is a view
+of them).
 
 The levels themselves (diagonal_levels, closed_form_levels) are Python
 floats.  B enters H only as B M, with M (Z_TOTAL) conserved, so each level
@@ -28,8 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .matkernel import kron
 
@@ -91,68 +91,66 @@ def hf_coupling(R: float) -> float:
     return HF_PREFACTOR * decay * R**2.5
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _Frozen:
+    """Instances refuse attribute writes; __init__ fills the instance
+    __dict__ directly."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ModelParams(_Frozen):
     """Physical configuration; J derives from R unless j_override is set.
 
-    J, r = sqrt(Dz^2 + J^2) and theta = atan2(Dz, J) (0 where r = 0) are
-    worked out once, on construction, and read as attributes.  They are not
-    fields, so init, repr, == and hash see only the five parameters.  _with
-    is the one-field copy that sweeps use per row."""
+    __init__ checks the five parameters and works out J,
+    r = sqrt(Dz^2 + J^2) and theta = atan2(Dz, J) (0 where r = 0), read as
+    attributes; ==, hash and repr see only the five parameters.  replace
+    builds a copy with some of them changed through the same __init__."""
 
-    R: float = 0.5
-    gamma: float = 1.0
-    Dz: float = 0.0
-    B: float = 0.0
-    j_override: Optional[float] = None
-
-    def __post_init__(self):
-        for name in ("R", "gamma", "Dz", "B", "j_override"):
-            value = getattr(self, name)
+    def __init__(self, R: float = 0.5, gamma: float = 1.0, Dz: float = 0.0,
+                 B: float = 0.0, j_override: float | None = None):
+        for name, value in (("R", R), ("gamma", gamma), ("Dz", Dz), ("B", B),
+                            ("j_override", j_override)):
             if value is not None and not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
-        if self.j_override is None and self.R <= 0:
-            raise DomainError(f"R must be positive without a direct-J override, got {self.R}")
-        j = hf_coupling(self.R) if self.j_override is None else self.j_override
-        r = math.hypot(self.Dz, j)
-        object.__setattr__(self, "J", j)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "theta", math.atan2(self.Dz, j) if r else 0.0)
+        if j_override is None and R <= 0:
+            raise DomainError(f"R must be positive without a direct-J override, got {R}")
+        j = hf_coupling(R) if j_override is None else j_override
+        r = math.hypot(Dz, j)
+        self.__dict__.update({"R": R, "gamma": gamma, "Dz": Dz, "B": B, "j_override": j_override,
+                              "J": j, "r": r, "theta": math.atan2(Dz, j) if r else 0.0})
 
-    def _with(self, name: str, value: float) -> "ModelParams":
-        """A copy of self with one of R, Dz or B set to value: equal, in ==,
-        repr, hash, J, r and theta, to replace(self, B=value),
-        replace(self, Dz=value) or replace(self, R=value, j_override=None).
-        It checks value as construction does, with the same DomainError,
-        and derives only what the field changes: nothing for B, r and theta
-        for Dz, and J, r and theta for R.  Sweeps build a row's parameters
-        here, so a B or Dz row does not rerun hf_coupling."""
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-        q = object.__new__(ModelParams)
-        d = q.__dict__
-        d.update(self.__dict__)
-        d[name] = value
-        if name == "R":
-            if value <= 0:
-                raise DomainError(f"R must be positive without a direct-J override, got {value}")
-            d["j_override"] = None
-            d["J"] = hf_coupling(value)
-        elif name == "B":
-            return q
-        r = math.hypot(d["Dz"], d["J"])
-        d["r"] = r
-        d["theta"] = math.atan2(d["Dz"], d["J"]) if r else 0.0
-        return q
+    def _asdict(self) -> dict:
+        """The five parameters by name, in the order of __init__."""
+        return {"R": self.R, "gamma": self.gamma, "Dz": self.Dz, "B": self.B,
+                "j_override": self.j_override}
+
+    def replace(self, **changes) -> ModelParams:
+        """A copy with the given parameters changed, checked and derived by
+        __init__."""
+        return self.__class__(**{**self._asdict(), **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
+        return f"{self.__class__.__qualname__}({args})"
 
     def in_hf_window(self) -> bool:
         lo, hi = HF_RANGE
         return self.j_override is not None or lo < self.R < hi
 
 
-class EffectiveCoupling(NamedTuple):
-    r: float
-    theta: float
+EffectiveCoupling = namedtuple("EffectiveCoupling", "r theta")
 
 
 def effective_coupling(p: ModelParams) -> EffectiveCoupling:
@@ -186,16 +184,12 @@ def hamiltonian_closed_form(p: ModelParams) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class AnalyticSpectrum:
+class AnalyticSpectrum(namedtuple("AnalyticSpectrum", "eps vecs chi1 chi2")):
     """Closed-form eigenvalues eps[0..8] (labels 1..9) with matching unit
     eigenvectors in the columns of vecs, plus the published invariants
     chi1 = -2 eps9 / r and chi2 = 2 eps8 / r (chi1 * chi2 = 8 identically)."""
 
-    eps: np.ndarray
-    vecs: np.ndarray
-    chi1: float
-    chi2: float
+    __slots__ = ()
 
 
 #: M of each level, the slope of its line in B: in diagonal_levels order

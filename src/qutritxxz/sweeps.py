@@ -2,12 +2,12 @@
 
 A sweep varies one of T, B, Dz, R over a uniform grid with everything
 else fixed, recording (J, r, theta, Z, ground energy, negativity) per
-point.  A row derives only what its grid value changes: its parameters
-are the fixed ones copied with that one field set (ModelParams._with), so
-a B row reruns none of J, r and theta, a Dz row only r and theta, and a T
-row none, and the thermal numbers come from one thermal state
-(thermal_point, the one point evaluator, which builds no 9x9 matrix).
-The Dz onset scan and the field scan copy their parameters the same way.
+point.  A B, Dz or R row constructs its ModelParams from one keyword
+dict per sweep, the fixed parameters with the row's grid value set (an R
+row drops a direct-J override); a T row reuses the fixed parameters.  The
+thermal numbers come from one thermal state (thermal_point, the one point
+evaluator, which builds no 9x9 matrix).  The Dz onset scan and the field
+scan copy their parameters with ModelParams.replace.
 T = 0 grid points use the exact ground-level mixture, which makes the
 field-sweep entanglement plateaus sharp instead of smeared by a tiny
 temperature.
@@ -19,11 +19,11 @@ the fixed parameters, the curve family and the plotted column.
 """
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+import operator
+from collections import namedtuple
 
 from . import __version__
-from .model import BASIS_M, LEVEL_M, SIGN_CONVENTION_NOTE, DomainError, ModelParams
+from .model import BASIS_M, LEVEL_M, SIGN_CONVENTION_NOTE, DomainError, ModelParams, _Frozen
 from .thermal import (
     GROUND_DEGENERACY_TOL,
     inverse_temperature,
@@ -59,24 +59,27 @@ class NoOnset(RuntimeError):
     still zero at the scan limit."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    vary: str                      # one of T, B, Dz, R
-    start: float
-    stop: float
-    steps: int
-    fixed: ModelParams = ModelParams()
-    T: float = 1.0                 # ignored when vary == "T"
+class SweepSpec(_Frozen):
+    """A grid of steps values of vary (one of T, B, Dz, R) from start to
+    stop, with the parameters fixed and the temperature T (ignored when
+    vary == "T") held; checked on construction."""
 
-    def __post_init__(self):
-        if self.vary not in ("T", "B", "Dz", "R"):
-            raise DomainError(f"vary must be one of T, B, Dz, R; got {self.vary!r}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise DomainError(f"sweep range must be finite, got [{self.start}, {self.stop}]")
-        if not self.start < self.stop:
-            raise DomainError(f"need start < stop, got [{self.start}, {self.stop}]")
-        if self.steps < 2:
-            raise DomainError(f"need at least 2 steps, got {self.steps}")
+    def __init__(self, vary: str, start: float, stop: float, steps: int,
+                 fixed: ModelParams = ModelParams(), T: float = 1.0):
+        if vary not in ("T", "B", "Dz", "R"):
+            raise DomainError(f"vary must be one of T, B, Dz, R; got {vary!r}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise DomainError(f"sweep range must be finite, got [{start}, {stop}]")
+        if not start < stop:
+            raise DomainError(f"need start < stop, got [{start}, {stop}]")
+        try:
+            steps = operator.index(steps)
+        except TypeError:
+            raise DomainError(f"steps must be an integer, got {steps!r}") from None
+        if steps < 2:
+            raise DomainError(f"need at least 2 steps, got {steps}")
+        self.__dict__.update({"vary": vary, "start": start, "stop": stop, "steps": steps,
+                              "fixed": fixed, "T": T})
         grid = self.grid()
         # x * 1e10 in grid() overflows above about 1.8e298
         if not all(map(math.isfinite, grid)):
@@ -99,18 +102,14 @@ class SweepSpec:
         return [round(x * 1e10, 0) / 1e10 for x in values]
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: list
-    meta: dict
+SweepResult = namedtuple("SweepResult", "rows meta")
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    parameter: str
-    value: float
-    kind: str                      # LevelCrossing | NegativityOnset
-    bracket: tuple
+class CriticalPoint(namedtuple("CriticalPoint", "parameter value kind bracket")):
+    """A critical value of parameter (B or Dz), of kind LevelCrossing or
+    NegativityOnset, inside bracket = (lo, hi)."""
+
+    __slots__ = ()
 
 
 def _point(p: ModelParams, T: float) -> dict:
@@ -125,36 +124,34 @@ def _point(p: ModelParams, T: float) -> dict:
     }
 
 
-def _apply(spec: SweepSpec, value: float):
-    """Model params and temperature for one grid point."""
-    if spec.vary == "T":
-        return spec.fixed, value
-    return spec.fixed._with(spec.vary, value), spec.T
-
-
-def run_sweep(spec: SweepSpec, label: Optional[str] = None) -> SweepResult:
+def run_sweep(spec: SweepSpec, label: str | None = None) -> SweepResult:
+    vary, fixed = spec.vary, spec.fixed
+    # the keywords of every row's ModelParams; an R row drops a direct-J override
+    params = fixed._asdict()
+    if vary == "R":
+        params["j_override"] = None
     rows = []
     for value in spec.grid():
-        p, t = _apply(spec, value)
+        if vary == "T":
+            p, t = fixed, value
+        else:
+            params[vary] = value
+            p, t = ModelParams(**params), spec.T
         try:
             rec = _point(p, t)
         except Exception as exc:
             raise SweepError(value, exc) from exc
-        rec["grid_param"] = spec.vary
+        rec["grid_param"] = vary
         rec["grid_value"] = value
         rows.append(rec)
     meta = {
         "tool": "qutritxxz",
         "version": __version__,
-        "vary": spec.vary,
+        "vary": vary,
         "start": spec.start,
         "stop": spec.stop,
         "steps": spec.steps,
-        "fixed": {
-            "R": spec.fixed.R, "gamma": spec.fixed.gamma, "Dz": spec.fixed.Dz,
-            "B": spec.fixed.B, "j_override": spec.fixed.j_override,
-            "T": spec.T,
-        },
+        "fixed": {**fixed._asdict(), "T": spec.T},
         "gamma_default_note": "gamma defaults to 1 (isotropic XXZ point)",
         "sign_convention": SIGN_CONVENTION_NOTE,
     }
@@ -182,7 +179,7 @@ def detect_critical_field(p: ModelParams, b_max: float = _B_MAX) -> list:
     crossing, and a B = 0 degeneracy the field lifts is one at 0.0.
     """
     _check_limit("b_max", b_max)
-    c = level_values(p._with("B", 0.0))
+    c = level_values(p.replace(B=0.0))
     s = BASIS_M if p.r == 0.0 else LEVEL_M
     b, e = 0.0, c
     c_min = min(c)
@@ -275,7 +272,7 @@ def detect_critical_dz(p: ModelParams, T: float, dz_max: float = _DZ_MAX,
     _check_limit("threshold", threshold)
 
     def n_at(dz):
-        return thermal_point(p._with("Dz", dz), T)[2]
+        return thermal_point(p.replace(Dz=dz), T)[2]
 
     lo, n_lo = 0.0, n_at(0.0)
     if n_lo > threshold:
@@ -294,19 +291,13 @@ def detect_critical_dz(p: ModelParams, T: float, dz_max: float = _DZ_MAX,
                          kind="NegativityOnset", bracket=(lo, hi))
 
 
-class Preset(NamedTuple):
+class Preset(namedtuple("Preset", "vary start stop steps fixed curves T y",
+                        defaults=(1.0, "negativity"))):
     """One published figure: a sweep grid, the parameters held fixed, and
     its curves as (label, overrides) pairs; an override of "T" sets that
     curve's sweep temperature.  y is the column the figure plots."""
 
-    vary: str
-    start: float
-    stop: float
-    steps: int
-    fixed: ModelParams
-    curves: tuple
-    T: float = 1.0
-    y: str = "negativity"
+    __slots__ = ()
 
 
 def _family(key: str, values) -> tuple:
@@ -343,6 +334,6 @@ def figure_preset(name: str) -> list:
     for label, overrides in f.curves:
         params = {k: v for k, v in overrides.items() if k != "T"}
         spec = SweepSpec(vary=f.vary, start=f.start, stop=f.stop, steps=f.steps,
-                         fixed=replace(f.fixed, **params), T=overrides.get("T", f.T))
+                         fixed=f.fixed.replace(**params), T=overrides.get("T", f.T))
         results.append(run_sweep(spec, label=label))
     return results

@@ -31,7 +31,7 @@ importing this module do not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .entanglement import element_negativity
 from .matkernel import hermitian_eig
@@ -49,14 +49,12 @@ from .model import (
 GROUND_DEGENERACY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ThermalState:
+class ThermalState(namedtuple("ThermalState", "Z rho")):
     """Normalized thermal density matrix.  Z is the partition function; at
     beta = inf it holds the ground-level degeneracy instead (the limit of
     the shifted sum)."""
 
-    Z: float
-    rho: np.ndarray
+    __slots__ = ()
 
 
 def inverse_temperature(T: float, allow_zero: bool = False) -> float:

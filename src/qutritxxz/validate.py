@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from collections import namedtuple
 
 from .entanglement import (
     negativity,
@@ -53,13 +53,7 @@ from .thermal import (
 PAPER_HEADLINE_NEGATIVITY = 0.9616
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    worst_residual: float
-    tolerance: float
-    detail: str = ""
+Check = namedtuple("Check", "name passed worst_residual tolerance detail", defaults=("",))
 
 
 def _verdict(name: str, residuals: list, tol: float, detail: str = "") -> Check:
@@ -150,9 +144,9 @@ def check_ground_mixture(n_draws=100, seed=20240904):
     rng = np.random.default_rng(seed)
     p1 = ModelParams(R=1.0, gamma=1.0, Dz=1.0)
     points = [ModelParams(Dz=0.0, j_override=0.0)]
-    points += [replace(p1, B=float(b)) for b in _field_crossings(p1)]
+    points += [p1.replace(B=float(b)) for b in _field_crossings(p1)]
     for p, in _draws(rng, n_draws):
-        points += [p, replace(p, Dz=0.0, j_override=0.0)]
+        points += [p, p.replace(Dz=0.0, j_override=0.0)]
     gaps = []
     for p in points:
         state, dense = ground_state_mixture(p), _numeric_state(p, math.inf)
@@ -172,8 +166,8 @@ def check_symmetries(n_draws=20, seed=11):
     gaps_dz, gaps_b = [], []
     for p, t in _draws(rng, n_draws, (0.05, 2.0)):
         n0 = negativity(gibbs_analytic(p, t).rho)
-        n_dz = negativity(gibbs_analytic(replace(p, Dz=-p.Dz), t).rho)
-        n_b = negativity(gibbs_analytic(replace(p, B=-p.B), t).rho)
+        n_dz = negativity(gibbs_analytic(p.replace(Dz=-p.Dz), t).rho)
+        n_b = negativity(gibbs_analytic(p.replace(B=-p.B), t).rho)
         gaps_dz.append(abs(n0 - n_dz))
         gaps_b.append(abs(n0 - n_b))
     return [
@@ -254,13 +248,13 @@ def check_negativity_routes(n_draws=100, seed=20240903):
     gaps = []
     for p, t, u in _draws(rng, n_draws, (0.01, 5.0), (3.0, 9.0)):
         t_high = 10.0 ** u
-        r0 = replace(p, Dz=0.0, j_override=0.0)
+        r0 = p.replace(Dz=0.0, j_override=0.0)
         cases = [(p, t, gibbs_analytic(p, t)),
                  (r0, t, gibbs_numeric(r0, t)),
                  (p, 0.0, ground_state_mixture(p)),
                  (p, t_high, gibbs_analytic(p, t_high))]
         for cp in detect_critical_field(p, b_max=3.0):
-            at = replace(p, B=cp.value)
+            at = p.replace(B=cp.value)
             cases.append((at, 0.0, ground_state_mixture(at)))
         for params, temperature, state in cases:
             gaps.append(abs(thermal_point(params, temperature)[2] - negativity(state.rho)))
@@ -400,5 +394,5 @@ def validate(fast: bool = False) -> dict:
         "passed": all(c.passed for c in checks),
         "elapsed_seconds": time.perf_counter() - t0,
         "timings": timings,
-        "checks": [asdict(c) for c in checks],
+        "checks": [c._asdict() for c in checks],
     }

@@ -1,7 +1,6 @@
 import math
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -561,7 +560,7 @@ def test_element_negativity_matches_lapack_near_degenerate_blocks(draw):
         T = 0.0
         crossings = detect_critical_field(p, b_max=5.0) if regime == "crossing" else []
         if crossings:
-            p = replace(p, B=crossings[k % len(crossings)].value)
+            p = p.replace(B=crossings[k % len(crossings)].value)
     rho = ground_state_mixture(p).rho if T == 0.0 else gibbs(p, T).rho
     w = np.linalg.eigvalsh(partial_transpose(rho))
     lapack = -float(w[w < -1e-12].sum())

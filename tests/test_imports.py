@@ -31,6 +31,15 @@ def test_import_loads_no_numpy():
     assert "numpy" not in imported
 
 
+@pytest.mark.parametrize("module", ["qutritxxz", "qutritxxz.cli"])
+def test_import_loads_no_dataclasses_or_inspect(module):
+    # the records are namedtuples and plain classes; dataclasses would pull
+    # in inspect, together most of the import time of the package
+    code, _, imported = run_fresh(["-c", f"import {module}"])
+    assert code == 0 and module in imported
+    assert not {"dataclasses", "inspect"} & imported, sorted({"dataclasses", "inspect"} & imported)
+
+
 def test_partition_functions_load_no_numpy():
     # Z and ln Z are scalar reads of the float levels, at r > 0 and at r = 0
     probe = "\n".join([

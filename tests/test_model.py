@@ -1,13 +1,15 @@
+import copy
 import math
+import pickle
 import random
-from dataclasses import FrozenInstanceError, fields, replace
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qutritxxz import model
+from qutritxxz import model, sweeps
 from qutritxxz.matkernel import hermitian_eig
 from qutritxxz.model import (
     BASIS_M,
@@ -23,6 +25,7 @@ from qutritxxz.model import (
     hamiltonian_tensor,
     hf_coupling,
 )
+from qutritxxz.sweeps import SweepSpec, run_sweep
 
 from conftest import random_params
 
@@ -170,27 +173,70 @@ def test_model_params_holds_j_r_theta():
     p = ModelParams(R=1.0, Dz=1.0)
     j = hf_coupling(1.0)
     assert (p.J, p.r, p.theta) == (j, math.hypot(1.0, j), math.atan2(1.0, j))
-    # not fields: init, repr, == and hash see the five parameters only
-    assert [f.name for f in fields(ModelParams)] == ["R", "gamma", "Dz", "B", "j_override"]
+    # not parameters: the constructor takes none of them, and repr, == and
+    # hash see the five parameters only
+    for name in ("J", "r", "theta"):
+        with pytest.raises(TypeError):
+            ModelParams(R=1.0, Dz=1.0, **{name: 0.5})
     assert repr(p) == "ModelParams(R=1.0, gamma=1.0, Dz=1.0, B=0.0, j_override=None)"
     assert p == ModelParams(R=1.0, Dz=1.0) and hash(p) == hash(ModelParams(R=1.0, Dz=1.0))
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         p.J = 2.0
     # replace builds a new instance, which derives its own
-    q = replace(p, Dz=0.0, j_override=-0.0)
+    q = p.replace(Dz=0.0, j_override=-0.0)
     assert (q.J, q.r, q.theta) == (0.0, 0.0, 0.0)
     assert math.copysign(1.0, q.J) == -1.0
     assert effective_coupling(q) == (0.0, 0.0)
 
 
+def test_model_params_refuse_attribute_writes():
+    p = ModelParams(R=1.0, Dz=1.0, j_override=0.5)
+    before = repr(p), p.J, p.r, p.theta
+    for name in ("R", "gamma", "Dz", "B", "j_override", "J", "r", "theta"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 2.0)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    with pytest.raises(AttributeError):
+        p.T = 1.0
+    assert (repr(p), p.J, p.r, p.theta) == before
+
+
+def test_replace_checks_as_construction_does():
+    p = ModelParams(R=1.0, Dz=1.0)
+    assert p.replace() == p and p.replace() is not p
+    with pytest.raises(TypeError):
+        p.replace(J=0.5)
+    with pytest.raises(DomainError, match="Dz must be finite"):
+        p.replace(Dz=math.inf)
+    # copies and pickles keep the parameters and the derived values
+    q = ModelParams(R=2.0, gamma=-0.5, Dz=-0.0, B=0.3, j_override=0.7)
+    for twin in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        _assert_same_params(twin, q)
+
+
 def _built(p, name, value):
-    """ModelParams built afresh with p's fields and name = value; setting R
-    drops a direct-J override, as a sweep over R does."""
-    kwargs = {f.name: getattr(p, f.name) for f in fields(ModelParams)}
+    """ModelParams built afresh with p's parameters and name = value;
+    setting R drops a direct-J override, as a sweep over R does."""
+    kwargs = {k: getattr(p, k) for k in ("R", "gamma", "Dz", "B", "j_override")}
     kwargs[name] = value
     if name == "R":
         kwargs["j_override"] = None
     return ModelParams(**kwargs)
+
+
+def _copies(p, name, value):
+    """(v, q) for each copy q of p with name = v: p.replace(name=value),
+    given j_override=None where R is set, and the ModelParams of the last
+    row of a two-step run_sweep over name that stops at value (its grid
+    rounds value to 10 decimals; an R row drops a direct-J override)."""
+    drop = {"j_override": None} if name == "R" else {}
+    spec = SweepSpec(vary=name, start=value / 2 if name == "R" else value - 1.0,
+                     stop=value, steps=2, fixed=p)
+    with mock.patch.object(sweeps, "_point", wraps=sweeps._point) as point:
+        run_sweep(spec)
+    return [(value, p.replace(**{name: value}, **drop)),
+            (spec.grid()[-1], point.call_args.args[0])]
 
 
 def _assert_same_params(q, built):
@@ -221,7 +267,8 @@ _copy_bases = st.builds(
            lambda name: st.tuples(st.just(name), _axis_values[name])))
 def test_one_field_copy_equals_construction(p, axis):
     name, value = axis
-    _assert_same_params(p._with(name, value), _built(p, name, value))
+    for v, q in _copies(p, name, value):
+        _assert_same_params(q, _built(p, name, v))
 
 
 @pytest.mark.parametrize("p, name, value", [
@@ -235,14 +282,15 @@ def test_one_field_copy_equals_construction(p, axis):
     (ModelParams(R=1.0, Dz=0.5), "R", 400.0),              # hf_coupling is 0.0
 ])
 def test_one_field_copy_edge_cases(p, name, value):
-    q = p._with(name, value)
-    _assert_same_params(q, _built(p, name, value))
-    assert getattr(q, name) == value and (q.j_override is None) == (
-        name == "R" or p.j_override is None)
-    if name == "Dz" and value == 0.0 and p.J > 0:
-        assert q.theta == 0.0 and math.copysign(1.0, q.theta) == math.copysign(1.0, value)
-    if value == 400.0:
-        assert (q.J, q.r, q.theta) == (0.0, 0.5, math.pi / 2)
+    for v, q in _copies(p, name, value):
+        assert repr(v) == repr(value)       # the grid keeps each value, -0.0 too
+        _assert_same_params(q, _built(p, name, value))
+        assert getattr(q, name) == value and (q.j_override is None) == (
+            name == "R" or p.j_override is None)
+        if name == "Dz" and value == 0.0 and p.J > 0:
+            assert q.theta == 0.0 and math.copysign(1.0, q.theta) == math.copysign(1.0, value)
+        if value == 400.0:
+            assert (q.J, q.r, q.theta) == (0.0, 0.5, math.pi / 2)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -254,8 +302,16 @@ def test_one_field_copy_rejects_like_construction(name, value):
     with pytest.raises(DomainError) as built:
         _built(p, name, value)
     with pytest.raises(DomainError) as copied:
-        p._with(name, value)
+        p.replace(**{name: value}, **({"j_override": None} if name == "R" else {}))
     assert str(copied.value) == str(built.value)
+    if math.isfinite(value):
+        # a sweep row: the grid starts at value, where 0.0 + -0.0 is 0.0
+        spec = SweepSpec(vary=name, start=value, stop=value + 1.0, steps=2, fixed=p)
+        with pytest.raises(DomainError) as row:
+            run_sweep(spec)
+        with pytest.raises(DomainError) as built:
+            _built(p, name, spec.grid()[0])
+        assert str(row.value) == str(built.value)
 
 
 def test_zeeman_only_diagonal():

@@ -4,7 +4,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,34 @@ def test_spec_validation():
         SweepSpec(vary="B", start=0, stop=1, steps=1)
     with pytest.raises(ValueError):
         SweepSpec(vary="T", start=0.0, stop=1, steps=10)
+
+
+@pytest.mark.parametrize("steps", [3.0, 2.5, "3", None], ids=["3.0", "2.5", "str", "None"])
+def test_non_integer_steps_rejected_on_construction(steps):
+    with pytest.raises(DomainError, match="steps must be an integer"):
+        SweepSpec("B", 0, 1, steps)
+
+
+@pytest.mark.parametrize("steps", [3, np.int64(3), np.uint8(3)], ids=["int", "int64", "uint8"])
+def test_integer_steps_of_any_type_accepted(steps):
+    spec = SweepSpec("B", 0, 1, steps)
+    assert spec.grid() == [0.0, 0.5, 1.0]
+    assert type(spec.steps) is int and run_sweep(spec).meta["steps"] == 3
+
+
+def test_spec_refuses_attribute_writes():
+    spec = SweepSpec(vary="B", start=0.0, stop=1.0, steps=3)
+    for name in ("vary", "start", "stop", "steps", "fixed", "T"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, getattr(spec, name))
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
+    # a refused write changes nothing, and no new attribute can be added
+    with pytest.raises(AttributeError):
+        spec.steps = 1
+    with pytest.raises(AttributeError):
+        spec.label = "x"
+    assert spec.steps == 3 and spec.grid() == [0.0, 0.5, 1.0]
 
 
 def test_t_grid_checked_after_rounding():
@@ -191,7 +218,7 @@ def _levels(p: ModelParams) -> np.ndarray:
 
 
 def _ground_set(p: ModelParams, b: float) -> frozenset:
-    eps = _levels(replace(p, B=b))
+    eps = _levels(p.replace(B=b))
     return frozenset(np.flatnonzero(eps - eps.min() < GROUND_DEGENERACY_TOL).tolist())
 
 
@@ -200,12 +227,12 @@ def _ground_set(p: ModelParams, b: float) -> frozenset:
 def test_critical_field_is_the_lower_envelope(seed, kind):
     p = random_params(np.random.default_rng(seed))
     if kind == "r0":
-        p = replace(p, Dz=0.0, j_override=0.0)
+        p = p.replace(Dz=0.0, j_override=0.0)
     elif kind == "tied_at_zero":
-        p = replace(p, gamma=-1.0, Dz=0.0)
+        p = p.replace(gamma=-1.0, Dz=0.0)
     # every level is affine in B
-    c = _levels(replace(p, B=0.0))
-    s = np.rint(_levels(replace(p, B=1.0)) - c)
+    c = _levels(p.replace(B=0.0))
+    s = np.rint(_levels(p.replace(B=1.0)) - c)
     assert np.max(np.abs(_levels(p) - (c + s * p.B))) < 1e-12
     b_max = 5.0
     points = detect_critical_field(p, b_max=b_max)
@@ -370,7 +397,7 @@ def _workload_r_values():
 def _bisected_onset(p, T, threshold):
     """The onset by the step scan and plain bisection to BISECTION_TOL."""
     def n_at(dz):
-        return thermal_point(p._with("Dz", dz), T)[2]
+        return thermal_point(p.replace(Dz=dz), T)[2]
 
     lo = 0.0
     if n_at(lo) > threshold:
@@ -544,7 +571,7 @@ def test_check_critical_dz_catches_a_bracket_off_the_root(monkeypatch):
     def shifted(p, T, **kwargs):
         cp = detect_critical_dz(p, T, **kwargs)
         lo, hi = cp.bracket
-        return replace(cp, bracket=(lo + 1e-6, hi + 1e-6))
+        return cp._replace(bracket=(lo + 1e-6, hi + 1e-6))
 
     monkeypatch.setattr(validate, "detect_critical_dz", shifted)
     (check,) = validate.check_critical_dz(n_draws=2)
@@ -715,9 +742,9 @@ def test_sweep_point_derives_each_number_once(vary, monkeypatch, capsys):
     fixed = ModelParams(R=0.8, Dz=1.0, B=0.3)
     counts.clear()
     run_sweep(SweepSpec(vary=vary, start=0.2, stop=2.0, steps=n, fixed=fixed, T=0.5))
-    # a row derives only what its grid value changes: J once per point on
-    # the R axis, and not at all where the grid sets B, Dz or T
-    assert counts.get("hf_coupling", 0) == (n if vary == "R" else 0)
+    # a B, Dz or R row constructs its parameters, J included, once; a T row
+    # reuses the fixed ones
+    assert counts.get("hf_coupling", 0) == (0 if vary == "T" else n)
     assert counts.get("effective_coupling", 0) == 0
     assert counts["level_values"] == counts["_weights"] == n
     counts.clear()

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
@@ -335,11 +334,11 @@ def test_dense_state_at_beta_inf_is_the_jacobi_ground_projector(rng):
     p1 = ModelParams(R=1.0, gamma=1.0, Dz=1.0)
     gj, r = p1.gamma * p1.J, p1.r
     points = [ModelParams(Dz=0.0, j_override=0.0),
-              replace(p1, B=(gj + math.sqrt(gj * gj + 8 * r * r)) / 2 - r),
-              replace(p1, B=gj + r)]
+              p1.replace(B=(gj + math.sqrt(gj * gj + 8 * r * r)) / 2 - r),
+              p1.replace(B=gj + r)]
     for _ in range(20):
         p = random_params(rng)
-        points += [p, replace(p, Dz=0.0, j_override=0.0)]
+        points += [p, p.replace(Dz=0.0, j_override=0.0)]
     degeneracies = set()
     for p in points:
         dec = hermitian_eig(hamiltonian_tensor(p))

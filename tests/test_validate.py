@@ -8,7 +8,6 @@ they replace."""
 
 import importlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,11 +26,11 @@ NAN = math.nan
 
 
 def _nan_field(name):
-    """A dataclass result with the field `name` replaced by NaN, or by NaN
+    """A namedtuple result with the field `name` replaced by NaN, or by NaN
     times it where it is an array."""
     def spoil(x):
         value = getattr(x, name)
-        return replace(x, **{name: value * NAN if isinstance(value, np.ndarray) else NAN})
+        return x._replace(**{name: value * NAN if isinstance(value, np.ndarray) else NAN})
     return spoil
 
 
@@ -72,7 +71,7 @@ CASES = [
     (V.check_negativity_routes, {"n_draws": 2}, "negativity_closed_form_vs_dense",
      "negativity", lambda n: NAN),
     (V.check_critical_field, {}, "critical_field_vs_closed_form", "detect_critical_field",
-     lambda cps: [replace(cp, value=NAN) for cp in cps]),
+     lambda cps: [cp._replace(value=NAN) for cp in cps]),
     (V.check_headline, {}, "headline_scalar_routes", "thermal_point",
      _nan_item(2)),
     # its own sign rule, not _verdict, but its worst margin keeps a NaN too
@@ -182,7 +181,7 @@ def test_stacked_residuals_match_the_per_draw_loop(monkeypatch, check, per_draw,
     (V.check_critical_field, {}, "critical_field_vs_closed_form", "detect_critical_field",
      lambda cps: cps[:-1]),
     (V.check_ground_mixture, {"n_draws": 2}, "ground_mixture_closed_form_vs_jacobi",
-     "ground_state_mixture", lambda state: replace(state, Z=state.Z + 1.0)),
+     "ground_state_mixture", lambda state: state._replace(Z=state.Z + 1.0)),
 ], ids=["critical_field-drops-a-crossing", "ground_mixture-wrong-degeneracy"])
 def test_a_count_mismatch_fails_its_check_with_worst_inf(monkeypatch, check, kwargs, name,
                                                          patched, spoil):
