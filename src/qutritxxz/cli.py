@@ -23,6 +23,7 @@ from .model import (
     DomainError,
     ModelParams,
     analytic_spectrum,
+    diagonal_levels,
     hamiltonian_tensor,
 )
 from .output import _fmt, csv_text, emit_csv, emit_svg, json_text, write_text
@@ -41,7 +42,6 @@ from .sweeps import (
     figure_preset,
     run_sweep,
 )
-from .thermal import level_values
 from .validate import validate
 
 EXIT_OK = 0
@@ -190,7 +190,7 @@ def _write(text, out):
 def _cmd_spectrum(args):
     p, _ = _resolve(args, unused=("T",))
     if p.r == 0.0:
-        eps, chi1, chi2 = level_values(p), None, None
+        eps, chi1, chi2 = diagonal_levels(p.gamma * p.J, p.B), None, None
     else:
         spec = analytic_spectrum(p)
         eps, chi1, chi2 = spec.eps.tolist(), spec.chi1, spec.chi2

@@ -17,9 +17,9 @@ J, r and theta once, in its one constructor, which its copies
 function of the package reads them from it (effective_coupling is a view
 of them).
 
-The levels themselves (diagonal_levels, closed_form_levels) are Python
+The levels themselves (closed_form_levels, at every r >= 0) are Python
 floats.  B enters H only as B M, with M (Z_TOTAL) conserved, so each level
-is a line c + M B; BASIS_M and LEVEL_M hold the M of each level.  numpy is
+is a line c + M B; LEVEL_M holds the M of each level.  numpy is
 imported only by the functions that build a matrix, and the spin matrices
 and the two-site operators of H are built by _operators on first use, so
 importing this module does not load numpy.
@@ -192,15 +192,13 @@ class AnalyticSpectrum(namedtuple("AnalyticSpectrum", "eps vecs chi1 chi2")):
     __slots__ = ()
 
 
-#: M of each level, the slope of its line in B: in diagonal_levels order
-#: (the diagonal of Z_TOTAL) and in closed_form_levels order (eps1..eps9)
-BASIS_M = (2, 1, 0, 1, 0, -1, 0, -1, -2)
+#: M of each level eps1..eps9 of closed_form_levels, the slope of its line in B
 LEVEL_M = (1, 1, 2, -2, 0, -1, -1, 0, 0)
 
 
 def diagonal_levels(gj: float, b: float) -> tuple:
     """The diagonal of H in the product basis as nine floats (gamma*J = gj,
-    field b): the levels at r = 0, labelled by basis index + 1.
+    field b); at r = 0, the levels that spectrum labels by basis index + 1.
     OverflowError when gj +- 2b overflows (|B| above about 9e307)."""
     top, bottom = gj + 2 * b, gj - 2 * b
     if math.isinf(top) or math.isinf(bottom):
@@ -210,10 +208,11 @@ def diagonal_levels(gj: float, b: float) -> tuple:
 
 def closed_form_levels(gj: float, b: float, r: float) -> tuple:
     """The nine levels eps1..eps9 as floats for gamma*J = gj, field b and
-    r > 0.  The mixed pair has eps8 - eps9 = root = sqrt(gj^2 + 8 r^2) and
+    r >= 0.  The mixed pair has eps8 - eps9 = root = sqrt(gj^2 + 8 r^2) and
     eps8 + eps9 = -gj; the one of them that cancels, (root - |gj|) / 2, is
     2r (2r / (root + |gj|)) (Higham, Accuracy and Stability, 1.8).  root is
-    hypot(gj, 2r, 2r), which squares nothing.  OverflowError when root + |gj|
+    hypot(gj, 2r, 2r), which squares nothing.  At r = 0 (so gj = 0) it and
+    _mixed_pair take the limits of 0/0.  OverflowError when root + |gj|
     (|gj| above about 9e307 or r above about 6e307) or gj +- 2b overflows."""
     root = math.hypot(gj, 2.0 * r, 2.0 * r)
     s = root + abs(gj)
@@ -221,32 +220,35 @@ def closed_form_levels(gj: float, b: float, r: float) -> tuple:
     if math.isinf(s) or math.isinf(top) or math.isinf(bottom):
         raise OverflowError(f"closed-form levels overflow at gamma*J = {gj:.3e}, "
                             f"r = {r:.3e}, B = {b:.3e}")
-    far, near = 0.5 * s, 2.0 * r * (2.0 * r / s)
+    # s = 0 only at r = gj = 0, where 2r (2r / s) has the limit 0.0
+    far, near = 0.5 * s, 2.0 * r * (2.0 * r / s) if s else 0.0
     eps8, eps9 = (near, -far) if gj >= 0 else (far, -near)
     return (b + r, b - r, top, bottom, -gj, -b + r, -b - r, eps8, eps9)
 
 
-def _mixed_pair(eps) -> tuple:
-    """(a, b, root) of the mixed levels: root = eps8 - eps9, a = eps8 / root
-    and b = -eps9 / root, both in [0, 1] with a + b = 1.  Eigenvector 8
-    puts weight a on |-1,1>, |1,-1> and b on |0,0>; eigenvector 9 the reverse."""
+def _mixed_pair(eps, r: float) -> tuple:
+    """(a, b, r / root) of the mixed levels, root = eps8 - eps9: a = eps8 / root
+    and b = -eps9 / root in [0, 1], a + b = 1.  Eigenvector 8 puts weight a
+    on |-1,1>, |1,-1> and b on |0,0>; eigenvector 9 the reverse."""
     eps8, eps9 = eps[7], eps[8]
     root = eps8 - eps9
-    return eps8 / root, -eps9 / root, root
+    if root == 0.0:    # r = 0: eps8 = eps9 = 0, so any split is an eigenbasis
+        return 1.0, 0.0, 0.0    # r / root -> 0; 1/2 each would round a subnormal u
+    return eps8 / root, -eps9 / root, r / root
 
 
 def analytic_spectrum(p: ModelParams) -> AnalyticSpectrum:
-    """The AnalyticSpectrum of p; DegenerateCoupling at r = 0, OverflowError
-    where a level or chi overflows (chi where |gamma J| / r is above 9e307)."""
+    """The AnalyticSpectrum of p; DegenerateCoupling at r = 0 (chi = -+2 eps / r),
+    OverflowError where a level or chi overflows (|gamma J| / r above 9e307)."""
     import numpy as np
 
     if p.r == 0.0:
-        raise DegenerateCoupling("r = 0: closed-form spectrum unavailable, use the numeric route")
+        raise DegenerateCoupling("r = 0: chi1 = -2 eps9 / r and chi2 = 2 eps8 / r are undefined")
     levels = closed_form_levels(p.gamma * p.J, p.B, p.r)
     chi1, chi2 = -2.0 * levels[8] / p.r, 2.0 * levels[7] / p.r
     if math.isinf(chi1 + chi2):
         raise OverflowError(f"chi overflows at gamma*J = {p.gamma * p.J:.3e}, r = {p.r:.3e}")
-    a, b, _ = _mixed_pair(levels)
+    a, b, _ = _mixed_pair(levels, p.r)
 
     e1 = np.exp(1j * p.theta)
     e2 = np.exp(2j * p.theta)

@@ -6,8 +6,8 @@ point.  A B, Dz or R row constructs its ModelParams from one keyword
 dict per sweep, the fixed parameters with the row's grid value set (an R
 row drops a direct-J override); a T row reuses the fixed parameters.  The
 thermal numbers come from one thermal state (thermal_point, the one point
-evaluator, which builds no 9x9 matrix).  The Dz onset scan and the field
-scan copy their parameters with ModelParams.replace.
+evaluator, which builds no 9x9 matrix).  The Dz onset scan builds its steps
+from one keyword dict per scan too; the field scan uses ModelParams.replace.
 T = 0 grid points use the exact ground-level mixture, which makes the
 field-sweep entanglement plateaus sharp instead of smeared by a tiny
 temperature.
@@ -23,7 +23,7 @@ import operator
 from collections import namedtuple
 
 from . import __version__
-from .model import BASIS_M, LEVEL_M, SIGN_CONVENTION_NOTE, DomainError, ModelParams, _Frozen
+from .model import LEVEL_M, SIGN_CONVENTION_NOTE, DomainError, ModelParams, _Frozen
 from .thermal import (
     GROUND_DEGENERACY_TOL,
     inverse_temperature,
@@ -68,7 +68,13 @@ class SweepSpec(_Frozen):
                  fixed: ModelParams = ModelParams(), T: float = 1.0):
         if vary not in ("T", "B", "Dz", "R"):
             raise DomainError(f"vary must be one of T, B, Dz, R; got {vary!r}")
-        if not (math.isfinite(start) and math.isfinite(stop)):
+        if not isinstance(fixed, ModelParams):
+            raise DomainError(f"fixed must be a ModelParams, got {fixed!r}")
+        try:    # math takes ints, floats and numpy scalars, not a str or None
+            finite = math.isfinite(start) and math.isfinite(stop)
+        except TypeError:
+            raise DomainError(f"sweep range must be real, got [{start!r}, {stop!r}]") from None
+        if not finite:
             raise DomainError(f"sweep range must be finite, got [{start}, {stop}]")
         if not start < stop:
             raise DomainError(f"need start < stop, got [{start}, {stop}]")
@@ -172,15 +178,14 @@ def detect_critical_field(p: ModelParams, b_max: float = _B_MAX) -> list:
     A crossing is any change of the ground-level identity; each one shows
     up as a jump in the zero-temperature entanglement plateaus.  The levels
     are lines c_i + s_i B, with c_i the levels at B = 0 and s_i their M
-    (BASIS_M at r = 0, LEVEL_M otherwise, the labelling level_values uses),
-    so the crossings are the breakpoints of their lower envelope, from one
-    level set.  Lines within GROUND_DEGENERACY_TOL are tied,
-    as in ground_state_mixture: levels meeting at one field are one
+    (LEVEL_M, in the order of level_values at every r >= 0), so the
+    crossings are the breakpoints of their lower envelope, from one level
+    set.  Lines within GROUND_DEGENERACY_TOL are tied, as in
+    ground_state_mixture: levels meeting at one field are one
     crossing, and a B = 0 degeneracy the field lifts is one at 0.0.
     """
     _check_limit("b_max", b_max)
-    c = level_values(p.replace(B=0.0))
-    s = BASIS_M if p.r == 0.0 else LEVEL_M
+    c, s = level_values(p.replace(B=0.0)), LEVEL_M
     b, e = 0.0, c
     c_min = min(c)
     tied = [i for i in range(9) if c[i] - c_min < GROUND_DEGENERACY_TOL]
@@ -270,9 +275,11 @@ def detect_critical_dz(p: ModelParams, T: float, dz_max: float = _DZ_MAX,
     inverse_temperature(T)
     _check_limit("dz_max", dz_max)
     _check_limit("threshold", threshold)
+    params = p._asdict()
 
     def n_at(dz):
-        return thermal_point(p.replace(Dz=dz), T)[2]
+        params["Dz"] = dz
+        return thermal_point(ModelParams(**params), T)[2]
 
     lo, n_lo = 0.0, n_at(0.0)
     if n_lo > threshold:

@@ -5,12 +5,11 @@ and the phase theta, and _state is its one construction: it reads the
 nine levels as floats (level_values, from the J and r that ModelParams
 holds), weights them (_weights) and returns Z, ln Z, the ground energy
 and the ten elements (r11, r22, r24, r33, r35, r37, r55, r66, r68, r99)
-of rho, from the levels alone when r > 0 (_rho_elements) and from the
-basis weights at r = 0, where H and rho are diagonal.  Every route reads
-it: thermal_point, the one point evaluator, returns Z, the ground energy,
-the negativity of the elements (entanglement.element_negativity) and
-ln Z (finite where Z overflows) with no matrix and no numpy; gibbs and
-ground_state_mixture (beta = inf) expand them into the 9x9 matrix
+of rho, from the levels alone (_rho_elements), at r = 0 too.  Every route
+reads it: thermal_point, the one point evaluator, returns Z, the ground
+energy, the negativity of the elements (entanglement.element_negativity)
+and ln Z (finite where Z overflows) with no matrix and no numpy; gibbs
+and ground_state_mixture (beta = inf) expand them into the 9x9 matrix
 (_analytic_rho) with the theta of ModelParams; partition_function takes Z.
 _numeric_state, the dense twin of _thermal_state, diagonalizes the
 tensor-product Hamiltonian with the Jacobi kernel at any beta, inf
@@ -41,7 +40,6 @@ from .model import (
     ModelParams,
     _mixed_pair,
     closed_form_levels,
-    diagonal_levels,
     hamiltonian_tensor,
 )
 
@@ -60,9 +58,13 @@ class ThermalState(namedtuple("ThermalState", "Z rho")):
 def inverse_temperature(T: float, allow_zero: bool = False) -> float:
     """beta = 1/T; T = inf gives 0, and T = 0 gives inf where allowed.
 
-    DomainError for NaN, negative T, T = 0 unless allowed, and a positive T
-    so small that 1/T overflows (inf * 0 would make NaN Boltzmann weights).
+    DomainError for a T that is no real number, NaN, negative T, T = 0 unless
+    allowed, and a positive T so small that 1/T overflows (inf * 0: NaN weights).
     """
+    try:
+        math.isnan(T)    # float(T) would take "1"
+    except TypeError:
+        raise DomainError(f"temperature must be a real number, got {T!r}") from None
     T = float(T)
     if allow_zero and T == 0.0:
         return math.inf
@@ -75,11 +77,7 @@ def inverse_temperature(T: float, allow_zero: bool = False) -> float:
 
 
 def level_values(p: ModelParams) -> tuple:
-    """The nine levels of H as floats, with no matrix: closed_form_levels
-    (labels 1..9) when r > 0; at r = 0, where H is diagonal,
-    diagonal_levels (labels are basis indices + 1)."""
-    if p.r == 0.0:
-        return diagonal_levels(p.gamma * p.J, p.B)
+    """The levels eps1..eps9 of H as floats, with no matrix, at every r >= 0."""
     return closed_form_levels(p.gamma * p.J, p.B, p.r)
 
 
@@ -139,7 +137,7 @@ def gibbs_numeric(p: ModelParams, T: float) -> ThermalState:
 
 def _rho_elements(eps, r: float, u) -> tuple:
     """The ten real elements (r11, r22, r24, r33, r35, r37, r55, r66, r68,
-    r99) of zs * rho for the nine levels eps at r > 0 and their weights u_i
+    r99) of zs * rho for the nine levels eps at r >= 0 and their weights u_i
     (sum zs): the shifted Boltzmann weights, or at T = 0 the ground-level
     indicators.  Every other entry of rho is one of these, times a phase of
     theta (see _analytic_rho), or zero.  The pair eps8, eps9 enters through
@@ -147,7 +145,7 @@ def _rho_elements(eps, r: float, u) -> tuple:
     sqrt(a b / 2) = r / root.  The published hyperbolic forms are recovered
     exactly, e.g. rho22*Z = e^{-beta B} cosh(beta r) = (u1 + u2)/2 up to the shift.
     """
-    a, b, root = _mixed_pair(eps)
+    a, b, coupling = _mixed_pair(eps, r)
     u1, u2, u3, u4, u5, u6, u7, u8, u9 = u
     mixed = a * u8 + b * u9
     return (
@@ -155,7 +153,7 @@ def _rho_elements(eps, r: float, u) -> tuple:
         0.5 * (u1 + u2),            # r22
         0.5 * (u1 - u2),            # r24
         0.5 * (u5 + mixed),         # r33
-        r / root * (u8 - u9),       # r35
+        coupling * (u8 - u9),       # r35
         0.5 * (mixed - u5),         # r37
         b * u8 + a * u9,            # r55
         0.5 * (u6 + u7),            # r66
@@ -167,17 +165,10 @@ def _rho_elements(eps, r: float, u) -> tuple:
 def _state(p: ModelParams, beta: float) -> tuple:
     """(Z, ln Z, ground_energy, elements) of exp(-beta H)/Z, or at
     beta = inf of the ground-level mixture: the ten real elements of rho,
-    in the order of _rho_elements.  At r = 0, H and rho are diagonal in the
-    product basis, and the elements are the basis weights: the swapped
-    product states |a,b> and |b,a> have equal levels, so the weights fill
-    the diagonal of _analytic_rho exactly."""
+    in the order of _rho_elements, at every r >= 0."""
     eps = level_values(p)
     u, zs, eps_min = _weights(eps, beta)
-    if p.r == 0.0:
-        u1, u2, u3, _, u5, u6, _, _, u9 = u
-        elements = (u1, u2, 0.0, u3, 0.0, 0.0, u5, u6, 0.0, u9)
-    else:
-        elements = _rho_elements(eps, p.r, u)
+    elements = _rho_elements(eps, p.r, u)
     return (*_z_and_log_z(zs, beta, eps_min), eps_min, tuple(x / zs for x in elements))
 
 
@@ -212,7 +203,7 @@ def gibbs_analytic(p: ModelParams, T: float) -> ThermalState:
     """gibbs, for r > 0 only: DegenerateCoupling at r = 0."""
     beta = inverse_temperature(T)
     if p.r == 0.0:
-        raise DegenerateCoupling("r = 0: closed forms unavailable, use gibbs_numeric")
+        raise DegenerateCoupling("r = 0: gibbs_analytic takes r > 0 only, use gibbs")
     return _thermal_state(p, beta)
 
 

@@ -236,9 +236,8 @@ def check_oracle(seed=13):
 
 def check_negativity_routes(n_draws=100, seed=20240903):
     """The closed-form thermal_point vs negativity(rho), dense Jacobi
-    (eigvalsh) on the whole partial transpose, for states from every
-    branch a sweep point can take: the closed form at r > 0, the diagonal
-    state at r = 0 and the T = 0 mixture.  Each draw also takes the states whose 3x3
+    (eigvalsh) on the whole partial transpose, for states at r > 0, at
+    r = 0 and at T = 0.  Each draw also takes the states whose 3x3
     partial-transpose block has two nearly equal eigenvalues, the hardest
     case for the closed form of entanglement._eig3: T in [1e3, 1e9], and
     T = 0 at the exact field crossings in [0, 3] of the drawn couplings."""

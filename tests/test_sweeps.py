@@ -44,6 +44,24 @@ def test_non_integer_steps_rejected_on_construction(steps):
         SweepSpec("B", 0, 1, steps)
 
 
+@pytest.mark.parametrize("change, match", [
+    ({"start": "0"}, "sweep range must be real"),
+    ({"stop": None}, "sweep range must be real"),
+    ({"T": "1"}, "temperature must be a real number"),
+    ({"fixed": None}, "fixed must be a ModelParams"),
+], ids=["start", "stop", "T", "fixed"])
+def test_non_real_range_or_t_and_non_params_rejected_on_construction(change, match):
+    with pytest.raises(DomainError, match=match):
+        SweepSpec(**{"vary": "B", "start": 0, "stop": 1, "steps": 3, **change})
+
+
+def test_real_range_and_t_of_any_type_accepted():
+    # ints and numpy floats are kept as given, as the rows print them
+    spec = SweepSpec("B", np.float64(0.0), 1, 3, T=2)
+    assert (spec.start, spec.stop, spec.T) == (0.0, 1, 2) and type(spec.T) is int
+    assert [row["T"] for row in run_sweep(spec).rows] == [2, 2, 2]
+
+
 @pytest.mark.parametrize("steps", [3, np.int64(3), np.uint8(3)], ids=["int", "int64", "uint8"])
 def test_integer_steps_of_any_type_accepted(steps):
     spec = SweepSpec("B", 0, 1, steps)

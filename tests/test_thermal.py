@@ -18,6 +18,8 @@ from qutritxxz.model import (
 from qutritxxz.thermal import (
     GROUND_DEGENERACY_TOL,
     _state,
+    _weights,
+    _z_and_log_z,
     gibbs,
     gibbs_analytic,
     gibbs_numeric,
@@ -61,6 +63,14 @@ def test_partition_function_domain():
 def test_nan_temperature_rejected(route):
     with pytest.raises(DomainError):
         route(P_REF, float("nan"))
+
+
+@pytest.mark.parametrize("T", ["1", None], ids=["str", "None"])
+def test_non_real_temperature_rejected(T):
+    # float("1") would read a string as a temperature
+    for route in (thermal_point, partition_function, gibbs, gibbs_numeric):
+        with pytest.raises(DomainError, match="temperature must be a real number"):
+            route(P_REF, T)
 
 
 @pytest.mark.parametrize("route", [gibbs, gibbs_analytic, gibbs_numeric])
@@ -227,7 +237,7 @@ def test_off_diagonals_vanish_at_high_t():
 def test_gibbs_analytic_degenerate_raises():
     with pytest.raises(DegenerateCoupling):
         gibbs_analytic(ModelParams(Dz=0.0, j_override=0.0), 1.0)
-    # the combined entry point takes the diagonal closed-form levels at r = 0
+    # gibbs takes r = 0, where the closed-form levels are the diagonal of H
     rho = gibbs(ModelParams(Dz=0.0, j_override=0.0, B=1.0), 1.0).rho
     assert abs(np.trace(rho).real - 1.0) < 1e-12
 
@@ -304,6 +314,43 @@ def test_r0_routes_match_jacobi(rng):
         assert thermal_point(p, t)[1] == jacobi[0]
         assert np.array_equal(np.sort(eps), jacobi)
         assert thermal_point(p, 0.0)[1] == eps.min()
+
+
+def _product_basis_state(p, beta):
+    """(Z, ln Z, ground energy, elements) at r = 0 from the weights of the
+    product basis, in which H is diagonal: the levels in basis order, and
+    rho11, rho22, rho33, rho55, rho66 and rho99 the weights of |-1,-1>,
+    |-1,0>, |-1,1>, |0,0>, |0,1> and |1,1>, with no off-diagonal."""
+    gj, b = p.gamma * p.J, p.B
+    eps = (gj + 2 * b, b, -gj, b, 0.0, -b, -gj, -b, gj - 2 * b)
+    u, zs, eps_min = _weights(eps, beta)
+    u1, u2, u3, _, u5, u6, _, _, u9 = u
+    elements = (u1, u2, 0.0, u3, 0.0, 0.0, u5, u6, 0.0, u9)
+    return (*_z_and_log_z(zs, beta, eps_min), eps_min, tuple(x / zs for x in elements))
+
+
+def test_r0_state_is_the_product_basis_state():
+    # the closed form at r = 0 (gamma J = 0 too) gives the product-basis
+    # state bit for bit, signed zeros included; the ground energy, a level
+    # that may be 0.0 or -0.0, by value.  J = 0 exactly also past R = 373,
+    # where exp(-2R) underflows.  At B = 0.7, T = 1.95e-3 the weight of the
+    # level 0 is a subnormal u with 0.5 u + 0.5 u != u
+    fields = (0.0, -0.0, 5e-324, 1e-300, 0.7, -1.3, 1e10, 5e307, -5e307)
+    points = [ModelParams(gamma=g, j_override=j, Dz=dz, B=b)
+              for g in (0.0, -0.0, 1.0, -2.5) for j in (0.0, -0.0) for dz in (0.0, -0.0)
+              for b in fields]
+    points += [ModelParams(R=R, gamma=g, Dz=dz, B=b)
+               for R in (400.0, 1e3) for g in (1.0, -1.0) for dz in (0.0, -0.0) for b in fields]
+    for p in points:
+        assert p.r == 0.0
+        for T in (0.0, 1e-300, 1e-3, 1.95e-3, 0.1, 1.0, 10.0, 1e3, 1e9, math.inf):
+            beta = inverse_temperature(T, allow_zero=True)
+            z, ln_z, ground_energy, elements = _state(p, beta)
+            z_ref, ln_z_ref, ground_ref, elements_ref = _product_basis_state(p, beta)
+            assert [x.hex() for x in (z, ln_z, *elements)] == \
+                [x.hex() for x in (z_ref, ln_z_ref, *elements_ref)], (p, T)
+            assert ground_energy == ground_ref
+            assert thermal_point(p, T)[2].hex() == (0.0).hex()
 
 
 def test_ground_energy_is_the_lowest_level(rng):
